@@ -14,6 +14,12 @@
 //    rejected with Errc::stale_metadata when the snapshot is out of
 //    date -- the designer must refresh() and retry. The s3.1 benchmark
 //    counts those rejections as coordination overhead.
+//
+// refresh() is a delta refresh: it replays the library's journal
+// records since the snapshot's generation instead of copying the whole
+// metadata. What the designer observes -- the snapshot's contents, the
+// generation, and when stale_metadata fires -- is exactly what a full
+// copy would give.
 
 #include <memory>
 #include <string>
@@ -37,7 +43,10 @@ class DesignerSession {
   const std::string& user() const noexcept { return user_; }
   Library& library() noexcept { return *library_; }
 
-  /// Re-read the committed metadata into the snapshot.
+  /// Bring the snapshot up to the committed metadata. Replays only the
+  /// records committed since the snapshot (Library::changes_since), so
+  /// it costs O(changes missed); falls back to a full copy of meta()
+  /// when the library has compacted its journal past the snapshot.
   void refresh();
   /// Has the library moved past this session's snapshot?
   bool stale() const noexcept;

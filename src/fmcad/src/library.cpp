@@ -18,6 +18,21 @@ support::telemetry::Counter& lib_counter(const char* which) {
   return support::telemetry::Registry::global().counter(
       std::string("fmcad.library.") + which + ".count");
 }
+
+support::telemetry::Counter& meta_write_bytes() {
+  static auto& c = support::telemetry::Registry::global().counter("fmcad.meta.write.bytes");
+  return c;
+}
+
+support::telemetry::Counter& meta_compactions() {
+  static auto& c = support::telemetry::Registry::global().counter("fmcad.meta.compaction.count");
+  return c;
+}
+
+template <typename T>
+Result<T> forward(const support::Error& error) {
+  return Result<T>::failure(error.code, error.message);
+}
 }  // namespace
 
 Result<std::shared_ptr<Library>> Library::create(vfs::FileSystem* fs, support::SimClock* clock,
@@ -36,9 +51,11 @@ Result<std::shared_ptr<Library>> Library::create(vfs::FileSystem* fs, support::S
   }
   auto lib = std::shared_ptr<Library>(new Library(fs, clock, root));
   lib->meta_.library = name;
-  lib->meta_.generation = 0;
-  if (auto st = lib->commit(); !st.ok()) {
-    return Result<std::shared_ptr<Library>>::failure(st.error().code, st.error().message);
+  lib->meta_.generation = 1;
+  std::string checkpoint = lib->meta_.serialize();
+  lib->checkpoint_bytes_ = checkpoint.size();
+  if (auto st = fs->write_file(root.child(kMetaFile), std::move(checkpoint)); !st.ok()) {
+    return forward<std::shared_ptr<Library>>(st.error());
   }
   return lib;
 }
@@ -50,12 +67,29 @@ Result<std::shared_ptr<Library>> Library::open(vfs::FileSystem* fs, support::Sim
     return Result<std::shared_ptr<Library>>::failure(Errc::not_found,
                                                      "no .meta under " + root.str());
   }
-  auto meta = LibraryMeta::parse(*text);
-  if (!meta.ok()) {
-    return Result<std::shared_ptr<Library>>::failure(meta.error().code, meta.error().message);
-  }
+  // The checkpoint ends at its first "end" line; journal records follow.
+  const std::string_view file(*text);
+  const std::size_t end = file.find("\nend\n");
+  const std::size_t checkpoint_bytes = end == std::string_view::npos ? file.size() : end + 5;
+  auto meta = LibraryMeta::parse(std::string(file.substr(0, checkpoint_bytes)));
+  if (!meta.ok()) return forward<std::shared_ptr<Library>>(meta.error());
   auto lib = std::shared_ptr<Library>(new Library(fs, clock, root));
   lib->meta_ = std::move(*meta);
+  lib->checkpoint_bytes_ = checkpoint_bytes;
+  // Torn append: the committed prefix ends at the last newline, and the
+  // partial record after it is dropped. The next commit then rewrites
+  // the file, as it must when the checkpoint lost its final newline.
+  std::string_view journal = file.substr(checkpoint_bytes);
+  const std::size_t committed = journal.rfind('\n') + 1;  // npos + 1 == 0
+  lib->rewrite_next_ = end == std::string_view::npos || committed != journal.size();
+  journal = journal.substr(0, committed);
+  if (auto st = replay(journal, lib->meta_); !st.ok()) {
+    return forward<std::shared_ptr<Library>>(st.error());
+  }
+  lib->journal_ = journal;
+  for (std::size_t at = 0; at < journal.size(); at = journal.find('\n', at) + 1) {
+    lib->record_starts_.push_back(at);
+  }
   return lib;
 }
 
@@ -63,9 +97,43 @@ vfs::Path Library::cellview_dir(const CellViewKey& key) const {
   return root_.child(key.cell).child(key.view);
 }
 
-Status Library::commit() {
-  ++meta_.generation;
-  return fs_->write_file(root_.child(kMetaFile), meta_.serialize());
+std::optional<std::string_view> Library::changes_since(std::uint64_t since) const {
+  const std::uint64_t base = meta_.generation - record_starts_.size();
+  if (since < base || since > meta_.generation) return std::nullopt;
+  if (since == meta_.generation) return std::string_view();
+  return std::string_view(journal_).substr(record_starts_[since - base]);
+}
+
+Status Library::commit(MetaRecord record) {
+  record.generation = meta_.generation + 1;
+  std::string line = record.encode();
+  const vfs::Path path = root_.child(kMetaFile);
+  std::uint64_t written = line.size();
+  if (rewrite_next_ || journal_.size() + line.size() > checkpoint_bytes_) {
+    // Compaction: the current metadata becomes the new checkpoint, with
+    // this change as the first journal record. write_file is
+    // all-or-nothing, so a failure leaves the old file intact.
+    std::string file = meta_.serialize();
+    const std::uint64_t checkpoint_bytes = file.size();
+    file += line;
+    written = file.size();
+    if (auto st = fs_->write_file(path, std::move(file)); !st.ok()) return st;
+    checkpoint_bytes_ = checkpoint_bytes;
+    rewrite_next_ = false;
+    journal_.clear();
+    record_starts_.clear();
+    meta_compactions().add(1);
+  } else if (auto st = fs_->append_file(path, line); !st.ok()) {
+    // Part of the record may have landed; the next commit rewrites the
+    // file, and Library::open drops the partial line meanwhile.
+    rewrite_next_ = true;
+    return st;
+  }
+  record_starts_.push_back(journal_.size());
+  journal_ += line;
+  (void)record.apply(meta_);  // validated by the caller; cannot fail
+  meta_write_bytes().add(written);
+  return {};
 }
 
 Status Library::define_view(const std::string& name, const std::string& viewtype) {
@@ -75,8 +143,7 @@ Status Library::define_view(const std::string& name, const std::string& viewtype
   if (meta_.find_view(name) != nullptr) {
     return support::fail(Errc::already_exists, "view " + name);
   }
-  meta_.views.push_back({name, viewtype});
-  return commit();
+  return commit(MetaRecord::define_view(name, viewtype));
 }
 
 Status Library::create_cell(const std::string& name) {
@@ -85,8 +152,9 @@ Status Library::create_cell(const std::string& name) {
   }
   if (meta_.has_cell(name)) return support::fail(Errc::already_exists, "cell " + name);
   if (auto st = fs_->mkdir(root_.child(name)); !st.ok()) return st;
-  meta_.cells.push_back(name);
-  return commit();
+  auto st = commit(MetaRecord::create_cell(name));
+  if (!st.ok()) (void)fs_->remove(root_.child(name));
+  return st;
 }
 
 Status Library::create_cellview(const CellViewKey& key) {
@@ -98,8 +166,9 @@ Status Library::create_cellview(const CellViewKey& key) {
     return support::fail(Errc::already_exists, "cellview " + key.str());
   }
   if (auto st = fs_->mkdir(cellview_dir(key)); !st.ok()) return st;
-  meta_.cellviews[key].key = key;
-  return commit();
+  auto st = commit(MetaRecord::create_cellview(key));
+  if (!st.ok()) (void)fs_->remove(cellview_dir(key));
+  return st;
 }
 
 Status Library::create_config(const std::string& name) {
@@ -107,8 +176,7 @@ Status Library::create_config(const std::string& name) {
     return support::fail(Errc::invalid_argument, "bad config name '" + name + "'");
   }
   if (meta_.configs.contains(name)) return support::fail(Errc::already_exists, "config " + name);
-  meta_.configs[name].name = name;
-  return commit();
+  return commit(MetaRecord::create_config(name));
 }
 
 Status Library::set_config_member(const std::string& config, const CellViewKey& key,
@@ -123,22 +191,21 @@ Status Library::set_config_member(const std::string& config, const CellViewKey& 
   }
   // "For each cellview, at maximum one version can be part of the
   // configuration" -- map semantics give us that by construction.
-  it->second.members[key] = version;
-  return commit();
+  return commit(MetaRecord::set_member(config, key, version));
 }
 
 Status Library::remove_config_member(const std::string& config, const CellViewKey& key) {
   auto it = meta_.configs.find(config);
   if (it == meta_.configs.end()) return support::fail(Errc::not_found, "config " + config);
-  if (it->second.members.erase(key) == 0) {
+  if (!it->second.members.contains(key)) {
     return support::fail(Errc::not_found, key.str() + " not in config " + config);
   }
-  return commit();
+  return commit(MetaRecord::remove_member(config, key));
 }
 
 Result<vfs::Path> Library::checkout(const CellViewKey& key, const std::string& user) {
   JFM_SPAN("fmcad", "library.checkout");
-  CellViewRecord* record = meta_.find_cellview(key);
+  const CellViewRecord* record = meta_.find_cellview(key);
   if (record == nullptr) {
     return Result<vfs::Path>::failure(Errc::not_found, "cellview " + key.str());
   }
@@ -158,18 +225,13 @@ Result<vfs::Path> Library::checkout(const CellViewKey& key, const std::string& u
   const std::string work_name = "work_" + user + ".cv";
   vfs::Path work = cellview_dir(key).child(work_name);
   const VersionInfo* base = record->default_version();
-  if (base != nullptr) {
-    if (auto st = fs_->copy_file(cellview_dir(key).child(base->file), work); !st.ok()) {
-      return Result<vfs::Path>::failure(st.error().code, st.error().message);
-    }
-  } else {
-    if (auto st = fs_->write_file(work, ""); !st.ok()) {
-      return Result<vfs::Path>::failure(st.error().code, st.error().message);
-    }
-  }
-  record->checkout = CheckOutStatus{user, base != nullptr ? base->number : 0, work_name};
-  if (auto st = commit(); !st.ok()) {
-    return Result<vfs::Path>::failure(st.error().code, st.error().message);
+  const auto made = base != nullptr ? fs_->copy_file(cellview_dir(key).child(base->file), work)
+                                    : fs_->write_file(work, "");
+  if (!made.ok()) return forward<vfs::Path>(made.error());
+  CheckOutStatus lock{user, base != nullptr ? base->number : 0, work_name};
+  if (auto st = commit(MetaRecord::checkout(key, std::move(lock))); !st.ok()) {
+    (void)fs_->remove(work);
+    return forward<vfs::Path>(st.error());
   }
   lib_counter("checkout").add(1);
   return work;
@@ -177,7 +239,7 @@ Result<vfs::Path> Library::checkout(const CellViewKey& key, const std::string& u
 
 Result<int> Library::checkin(const CellViewKey& key, const std::string& user) {
   JFM_SPAN("fmcad", "library.checkin");
-  CellViewRecord* record = meta_.find_cellview(key);
+  const CellViewRecord* record = meta_.find_cellview(key);
   if (record == nullptr) return Result<int>::failure(Errc::not_found, "cellview " + key.str());
   if (!record->checkout) {
     return Result<int>::failure(Errc::checkout_required,
@@ -193,25 +255,24 @@ Result<int> Library::checkin(const CellViewKey& key, const std::string& user) {
   ver.number = next;
   ver.file = "v" + std::to_string(next) + ".cv";
   ver.author = user;
-  vfs::Path dir = cellview_dir(key);
-  if (auto st = fs_->copy_file(dir.child(record->checkout->work_file), dir.child(ver.file));
-      !st.ok()) {
-    return Result<int>::failure(st.error().code, st.error().message);
-  }
-  auto stat = fs_->stat(dir.child(ver.file));
+  const vfs::Path dir = cellview_dir(key);
+  const vfs::Path work = dir.child(record->checkout->work_file);
+  const vfs::Path stored = dir.child(ver.file);
+  if (auto st = fs_->copy_file(work, stored); !st.ok()) return forward<int>(st.error());
+  auto stat = fs_->stat(stored);
   ver.mtime = stat.ok() ? stat->mtime : clock_->now();
-  (void)fs_->remove(dir.child(record->checkout->work_file));
-  record->versions.push_back(ver);
-  record->checkout.reset();
-  if (auto st = commit(); !st.ok()) {
-    return Result<int>::failure(st.error().code, st.error().message);
+  if (auto st = commit(MetaRecord::checkin(key, std::move(ver))); !st.ok()) {
+    // The working copy stays checked out; the new version never existed.
+    (void)fs_->remove(stored);
+    return forward<int>(st.error());
   }
+  (void)fs_->remove(work);
   lib_counter("checkin").add(1);
   return next;
 }
 
 Status Library::cancel_checkout(const CellViewKey& key, const std::string& user) {
-  CellViewRecord* record = meta_.find_cellview(key);
+  const CellViewRecord* record = meta_.find_cellview(key);
   if (record == nullptr) return support::fail(Errc::not_found, "cellview " + key.str());
   if (!record->checkout) {
     return support::fail(Errc::checkout_required, "cellview " + key.str() + " is not checked out");
@@ -221,10 +282,11 @@ Status Library::cancel_checkout(const CellViewKey& key, const std::string& user)
                          "cellview " + key.str() + " is checked out by " +
                              record->checkout->user + ", not " + user);
   }
-  (void)fs_->remove(cellview_dir(key).child(record->checkout->work_file));
-  record->checkout.reset();
+  const vfs::Path work = cellview_dir(key).child(record->checkout->work_file);
+  if (auto st = commit(MetaRecord::cancel(key, user)); !st.ok()) return st;
+  (void)fs_->remove(work);
   lib_counter("checkout.cancel").add(1);
-  return commit();
+  return {};
 }
 
 std::uint64_t Library::design_bytes() const {

@@ -81,12 +81,13 @@ Result<LibraryMeta> LibraryMeta::parse(const std::string& text) {
     if (saw_end) return Library_meta_parse_fail("content after end");
     auto f = support::split_ws(line);
     const std::string& kind = f[0];
+    bool numbers_ok = true;
     if (kind == "end") {
       saw_end = true;
     } else if (kind == "library" && f.size() == 2) {
       meta.library = f[1];
     } else if (kind == "generation" && f.size() == 2) {
-      meta.generation = std::stoull(f[1]);
+      numbers_ok = support::parse_integer(f[1], meta.generation);
     } else if (kind == "view" && f.size() == 3) {
       meta.views.push_back({f[1], f[2]});
     } else if (kind == "cell" && f.size() == 2) {
@@ -95,29 +96,30 @@ Result<LibraryMeta> LibraryMeta::parse(const std::string& text) {
       CellViewKey key{f[1], f[2]};
       meta.cellviews[key].key = key;
     } else if (kind == "version" && f.size() == 7) {
-      CellViewKey key{f[1], f[2]};
-      auto* record = meta.find_cellview(key);
+      auto* record = meta.find_cellview(CellViewKey{f[1], f[2]});
       if (record == nullptr) return Library_meta_parse_fail("version before cellview");
       VersionInfo ver;
-      ver.number = std::stoi(f[3]);
+      numbers_ok = support::parse_integer(f[3], ver.number) &&
+                   support::parse_integer(f[5], ver.mtime);
       ver.file = f[4];
-      ver.mtime = std::stoull(f[5]);
       ver.author = f[6];
       record->versions.push_back(ver);
     } else if (kind == "checkout" && f.size() == 6) {
-      CellViewKey key{f[1], f[2]};
-      auto* record = meta.find_cellview(key);
+      auto* record = meta.find_cellview(CellViewKey{f[1], f[2]});
       if (record == nullptr) return Library_meta_parse_fail("checkout before cellview");
-      record->checkout = CheckOutStatus{f[3], std::stoi(f[4]), f[5]};
+      CheckOutStatus lock{f[3], 0, f[5]};
+      numbers_ok = support::parse_integer(f[4], lock.base_version);
+      record->checkout = lock;
     } else if (kind == "config" && f.size() == 2) {
       meta.configs[f[1]].name = f[1];
     } else if (kind == "member" && f.size() == 5) {
       auto it = meta.configs.find(f[1]);
       if (it == meta.configs.end()) return Library_meta_parse_fail("member before config");
-      it->second.members[CellViewKey{f[2], f[3]}] = std::stoi(f[4]);
+      numbers_ok = support::parse_integer(f[4], it->second.members[CellViewKey{f[2], f[3]}]);
     } else {
       return Library_meta_parse_fail("bad record '" + std::string(line) + "'");
     }
+    if (!numbers_ok) return Library_meta_parse_fail("bad number in '" + std::string(line) + "'");
   }
   if (!saw_end) return Library_meta_parse_fail("truncated (no end)");
   return meta;

@@ -1,10 +1,19 @@
 #include "jfm/fmcad/session.hpp"
 
+#include "jfm/support/telemetry.hpp"
+
 namespace jfm::fmcad {
 
 using support::Errc;
 using support::Result;
 using support::Status;
+
+namespace {
+support::telemetry::Counter& refresh_counter(const char* which) {
+  return support::telemetry::Registry::global().counter(
+      std::string("fmcad.session.refresh.") + which + ".count");
+}
+}  // namespace
 
 DesignerSession::DesignerSession(std::shared_ptr<Library> library, std::string user)
     : library_(std::move(library)), user_(std::move(user)) {
@@ -12,7 +21,19 @@ DesignerSession::DesignerSession(std::shared_ptr<Library> library, std::string u
 }
 
 void DesignerSession::refresh() {
-  snapshot_ = library_->meta();
+  // Delta refresh: replay only the records committed since the
+  // snapshot's generation. A full copy when the library compacted its
+  // journal past that point, or when a record does not replay (a user
+  // name with whitespace in it encodes but cannot decode).
+  auto changes = library_->changes_since(snapshot_.generation);
+  if (changes && replay(*changes, snapshot_).ok()) {
+    static auto& delta = refresh_counter("delta");
+    delta.add(1);
+  } else {
+    snapshot_ = library_->meta();
+    static auto& full = refresh_counter("full");
+    full.add(1);
+  }
   ++stats_.refreshes;
 }
 

@@ -2,8 +2,10 @@
 // Small string utilities shared by the file formats (.meta files, OMS
 // export, schematic/layout serializations) and the extension language.
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace jfm::support {
@@ -26,6 +28,17 @@ bool ends_with(std::string_view text, std::string_view suffix);
 /// Is `name` a legal framework identifier ([a-zA-Z_][a-zA-Z0-9_.-]*)?
 /// Both frameworks restrict object names; the mapper relies on this.
 bool is_identifier(std::string_view name);
+
+/// Parse all of `text` as a base-10 integer of type `Int`. Returns
+/// false (leaving `out` untouched) on an empty field, trailing junk, a
+/// sign the type cannot hold, or overflow. Never throws, so file-format
+/// parsers can apply it to untrusted fields.
+template <typename Int>
+bool parse_integer(std::string_view text, Int& out) {
+  const char* end = text.data() + text.size();
+  auto [p, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc() && p == end;
+}
 
 /// Escape/unescape for the line-oriented .meta and OMS export formats:
 /// '\\' -> "\\\\", '\n' -> "\\n", '\t' -> "\\t".

@@ -79,6 +79,19 @@ TEST(Meta, ParseRejectsGarbage) {
             Errc::parse_error);  // member before config
   EXPECT_EQ(LibraryMeta::parse("fmcadmeta 1\nwat\nend\n").code(), Errc::parse_error);
   EXPECT_EQ(LibraryMeta::parse("fmcadmeta 1\nend\nextra\n").code(), Errc::parse_error);
+  // Untrusted numeric fields are parse errors, never exceptions.
+  for (const char* text : {
+           "fmcadmeta 1\ngeneration x\nend\n",
+           "fmcadmeta 1\ngeneration -1\nend\n",
+           "fmcadmeta 1\ngeneration 99999999999999999999999\nend\n",
+           "fmcadmeta 1\ncellview a b\nversion a b x f 0 u\nend\n",
+           "fmcadmeta 1\ncellview a b\nversion a b 99999999999 f 0 u\nend\n",
+           "fmcadmeta 1\ncellview a b\nversion a b 1 f 1e3 u\nend\n",
+           "fmcadmeta 1\ncellview a b\ncheckout a b u 2x w\nend\n",
+           "fmcadmeta 1\nconfig cfg\nmember cfg a b 99999999999\nend\n",
+       }) {
+    EXPECT_EQ(LibraryMeta::parse(text).code(), Errc::parse_error) << text;
+  }
 }
 
 // property: randomized metas survive the round trip bit-exactly
