@@ -7,9 +7,7 @@
 // workers in {1, 2, 4, 8}:
 //   * cold  -- fresh engine + empty destinations: every byte moves;
 //   * warm  -- same engine, same destinations: the content-addressed
-//              cache answers with hash probes, no payloads move;
-//   * excl  -- the exclusive_transfers ablation at 8 workers: the old
-//              one-big-mutex behaviour, for the rw-vs-exclusive delta.
+//              cache answers with hash probes, no payloads move.
 //
 // Speedups are relative to workers=1 of the same mode. On a single-core
 // host real threads cannot beat 1.0x (scripts/run_benches.py gates
@@ -116,7 +114,7 @@ struct Sample {
 
 /// min-of-kReps timing for one worker count. Each rep gets a fresh
 /// engine and a fresh destination tag, so cold really is cold.
-Sample measure(CheckoutEnv& env, std::size_t workers, bool exclusive, int* tag_counter) {
+Sample measure(CheckoutEnv& env, std::size_t workers, int* tag_counter) {
   Sample s;
   s.workers = workers;
   s.cold_us = ~0ull;
@@ -125,10 +123,9 @@ Sample measure(CheckoutEnv& env, std::size_t workers, bool exclusive, int* tag_c
   options.copy_through_filesystem = true;
   options.content_addressed_cache = true;
   options.cache_capacity = 2 * kDovs;
-  options.exclusive_transfers = exclusive;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::string tag =
-        (exclusive ? "x" : "w") + std::to_string(workers) + "_" + std::to_string((*tag_counter)++);
+        "w" + std::to_string(workers) + "_" + std::to_string((*tag_counter)++);
     coupling::TransferEngine engine(&env.jcf, &env.fs,
                                     vfs::Path().child("xfer_" + tag), options);
     auto items = env.requests(tag);
@@ -151,9 +148,8 @@ void print_report() {
   int tag_counter = 0;
   std::vector<Sample> samples;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    samples.push_back(measure(env, workers, /*exclusive=*/false, &tag_counter));
+    samples.push_back(measure(env, workers, &tag_counter));
   }
-  const Sample exclusive8 = measure(env, 8, /*exclusive=*/true, &tag_counter);
 
   auto mbps = [&](std::uint64_t us) {
     return us == 0 ? 0.0 : static_cast<double>(env.payload_bytes) / static_cast<double>(us);
@@ -182,12 +178,6 @@ void print_report() {
     registry.gauge(prefix + ".cold.us").set(static_cast<std::int64_t>(s.cold_us));
     registry.gauge(prefix + ".warm.us").set(static_cast<std::int64_t>(s.warm_us));
   }
-  const double excl_ratio =
-      static_cast<double>(exclusive8.cold_us) / static_cast<double>(samples.back().cold_us);
-  std::snprintf(line, sizeof(line),
-                "workers=8 exclusive-lock ablation: cold %8llu us (%4.2fx the rw-lock time)",
-                static_cast<unsigned long long>(exclusive8.cold_us), excl_ratio);
-  benchutil::row(line);
 
   // COW-off ablation (docs/vfs-cow.md): the same checkout with the file
   // system physically duplicating every copy. Bit-identical results;
@@ -195,7 +185,7 @@ void print_report() {
   CheckoutEnv nocow_env(/*cow_on=*/false);
   int nocow_tags = 0;
   for (std::size_t workers : {1u, 8u}) {
-    const Sample s = measure(nocow_env, workers, /*exclusive=*/false, &nocow_tags);
+    const Sample s = measure(nocow_env, workers, &nocow_tags);
     std::snprintf(line, sizeof(line),
                   "workers=%zu cow-off ablation: cold %8llu us   warm %8llu us",
                   s.workers, static_cast<unsigned long long>(s.cold_us),
@@ -221,13 +211,9 @@ void print_report() {
                 cow_io.bytes_physical_copied == 0 ? " (cow duplicated nothing)" : " UNEXPECTED");
   benchutil::row(line);
   if (cow_io.bytes_physical_copied != 0) std::abort();
-  std::printf("JFM_PARALLEL_CHECKOUT_META cores=%u dovs=%d payload_bytes=%llu "
-              "exclusive8_cold_us=%llu\n",
-              cores, kDovs, static_cast<unsigned long long>(env.payload_bytes),
-              static_cast<unsigned long long>(exclusive8.cold_us));
+  std::printf("JFM_PARALLEL_CHECKOUT_META cores=%u dovs=%d payload_bytes=%llu\n", cores, kDovs,
+              static_cast<unsigned long long>(env.payload_bytes));
   registry.gauge("bench.parallel_checkout.cores").set(static_cast<std::int64_t>(cores));
-  registry.gauge("bench.parallel_checkout.exclusive8.cold.us")
-      .set(static_cast<std::int64_t>(exclusive8.cold_us));
 }
 
 // -- end-to-end checkout_hierarchy: cold vs warm ---------------------------

@@ -51,32 +51,18 @@ struct HybridConfig {
   /// moves zero bytes. Off by default so the paper's measured behaviour
   /// stays the baseline; bench_s36 reports the ablation.
   bool content_addressed_cache = false;
-  std::size_t transfer_cache_capacity = 128;
   /// Copy-on-write payload extents in the hybrid's file system
   /// (docs/vfs-cow.md): logical copies are O(1) refcount bumps, and a
   /// cold checkout physically moves zero payload bytes. false restores
   /// the paper-faithful physical duplication on every copy -- the
   /// bench_s36/bench_parallel_checkout ablation, bit-identical results.
   bool cow_extents = true;
-  /// Incremental O(changed) checkout (docs/incremental-checkout.md):
-  /// repeat checkout_hierarchy calls build their request list from the
-  /// JCF change feed instead of re-walking the whole hierarchy, and
-  /// skip unchanged cellviews before any lock or cache probe. false
-  /// restores the full walk on every call -- the ablation, which must
-  /// stay bit-identical in materialized files.
-  bool incremental_checkout = true;
   /// Durable OMS (docs/persistence.md): the JCF store journals every
   /// committed transaction into a write-ahead log under /oms in the
   /// hybrid's file system, and open_store() recovers the image after a
   /// crash. false = the paper's volatile in-memory prototype, and the
   /// bit-identical ablation for bench_wal_overhead.
   bool durable_store = false;
-  /// WAL group-commit batch size (1 = flush on every commit; larger
-  /// values amortize the append across commits, docs/persistence.md).
-  std::size_t wal_group_commit = 1;
-  /// Automatic snapshot cadence in commits (0 = only explicit
-  /// Store::snapshot() calls truncate the log).
-  std::uint64_t snapshot_every = 0;
   /// Future work (s3.3): tools pass hierarchy to JCF procedurally.
   bool procedural_hierarchy_interface = false;
   /// Future JCF releases: accept non-isomorphic hierarchies.
@@ -241,21 +227,21 @@ class HybridFramework {
     std::size_t feed_size = 0;  ///< change-feed rows consumed (incremental only)
   };
   /// Repeat checkouts of the same (project, root, user, dst_dir) ride
-  /// the change feed when config().incremental_checkout is on: the
-  /// request list is built from DOVs changed since the workspace's
-  /// cursor, unchanged cellviews are skipped before any lock or cache
-  /// probe, and the first sync / a hierarchy-shape change / a restore
-  /// fall back to the full walk. Materialized files are bit-identical
-  /// to the full walk either way.
+  /// the change feed (docs/incremental-checkout.md): the request list
+  /// is built from DOVs changed since the workspace's cursor, unchanged
+  /// cellviews are skipped before any lock or cache probe, and the
+  /// first sync / a hierarchy-shape change / a restore fall back to the
+  /// full walk. Materialized files are bit-identical to the full walk
+  /// either way.
   support::Result<CheckoutReport> checkout_hierarchy(const std::string& project,
                                                      const std::string& root_cell,
                                                      jcf::UserRef user, const vfs::Path& dst_dir,
                                                      std::size_t workers = 4,
                                                      std::uint64_t timeout_us = 0);
-  /// Always performs the full hierarchy walk (the incremental_checkout
-  /// ablation path, also the repair tool when dst_dir was modified
-  /// behind the framework's back). Still records the sync cursor, so a
-  /// later checkout_hierarchy can continue incrementally.
+  /// Always performs the full hierarchy walk (the first-sync path, and
+  /// the repair tool when dst_dir was modified behind the framework's
+  /// back). Still records the sync cursor, so a later
+  /// checkout_hierarchy can continue incrementally.
   support::Result<CheckoutReport> checkout_hierarchy_full(
       const std::string& project, const std::string& root_cell, jcf::UserRef user,
       const vfs::Path& dst_dir, std::size_t workers = 4, std::uint64_t timeout_us = 0);

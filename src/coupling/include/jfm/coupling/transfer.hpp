@@ -33,10 +33,6 @@
 // this engine. All transfer counters are atomics, so stats_snapshot()
 // is always safe, torn-value free, and never blocks the data path.
 // Lock order: engine lock before cache_mu_, never the reverse.
-//
-// exclusive_transfers = true restores the pre-reader-writer behaviour
-// (every transfer takes the exclusive lock) and exists as the
-// serialization ablation for bench_parallel_checkout.
 
 #include <atomic>
 #include <chrono>
@@ -101,9 +97,6 @@ struct TransferOptions {
   bool copy_through_filesystem = true;   ///< paper behaviour (s2.1)
   bool content_addressed_cache = false;  ///< skip re-exports of unchanged DOVs
   std::size_t cache_capacity = 128;      ///< max cached (dov, dst) entries
-  /// Serialization ablation: exports take the exclusive lock as they
-  /// did before the reader-writer split. Only benches should set this.
-  bool exclusive_transfers = false;
   /// Per-item retry discipline (applies to export_dov / export_batch).
   RetryPolicy retry;
 };

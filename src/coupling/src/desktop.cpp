@@ -297,14 +297,12 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
         return it == snapshot.gauges.end() ? 0 : it->second;
       };
       const std::uint64_t indexed = counter("oms.query.indexed.count");
-      const std::uint64_t scans = counter("oms.query.scan.count");
       const std::uint64_t hits = counter("oms.query.find_one.hit.count");
       const std::uint64_t misses = counter("oms.query.find_one.miss.count");
       say("oms index entries: class=" + std::to_string(gauge("oms.index.class.entries")) +
           " attr=" + std::to_string(gauge("oms.index.attr.entries")) +
           " edge=" + std::to_string(gauge("oms.index.edge.entries")));
-      say("queries: indexed=" + std::to_string(indexed) + " full-scan=" +
-          std::to_string(scans));
+      say("queries: indexed=" + std::to_string(indexed));
       say("find_one: hits=" + std::to_string(hits) + " misses=" + std::to_string(misses));
       say("maintenance: adds=" + std::to_string(counter("oms.index.add.count")) +
           " removes=" + std::to_string(counter("oms.index.remove.count")));

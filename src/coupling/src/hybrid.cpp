@@ -34,8 +34,6 @@ Result<T> forward_error(const support::Error& e) {
 oms::StoreOptions store_options_for(const HybridConfig& config) {
   oms::StoreOptions opts;
   if (config.durable_store) opts.durability = oms::StoreOptions::Durability::wal;
-  opts.wal_group_commit = config.wal_group_commit;
-  opts.snapshot_every = config.snapshot_every;
   return opts;
 }
 }  // namespace
@@ -54,7 +52,6 @@ HybridFramework::HybridFramework(HybridConfig config)
   TransferOptions transfer_options;
   transfer_options.copy_through_filesystem = config_.copy_through_filesystem;
   transfer_options.content_addressed_cache = config_.content_addressed_cache;
-  transfer_options.cache_capacity = config_.transfer_cache_capacity;
   transfer_ = std::make_unique<TransferEngine>(&jcf_, &fs_, root_path("transfer"),
                                                transfer_options);
   hierarchy_ = std::make_unique<HierarchySubmitter>(
@@ -884,8 +881,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
   // the full walk on the first sync, after any hierarchy-shape change,
   // and when the cursor claims an epoch the store has never reached (a
   // restore reset the epoch history).
-  const bool incremental = allow_incremental && config_.incremental_checkout &&
-                           cursor.has_value() &&
+  const bool incremental = allow_incremental && cursor.has_value() &&
                            cursor->structure_epoch == structure_now &&
                            cursor->epoch <= store_epoch_now;
 

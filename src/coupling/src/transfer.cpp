@@ -161,13 +161,7 @@ Status TransferEngine::export_once(jcf::DovRef dov, jcf::UserRef reader, const v
   // draws a fresh decision -- exactly how a flaky NFS mount behaves.
   if (auto f = support::faultsim::trip("transfer.export_item"); !f.ok()) return f;
   const auto started = std::chrono::steady_clock::now();
-  std::shared_lock shared(mu_, std::defer_lock);
-  std::unique_lock exclusive(mu_, std::defer_lock);
-  if (options_.exclusive_transfers) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
+  std::shared_lock shared(mu_);
   lock_wait_histogram().record(us_since(started));
   Status st = export_shared(dov, reader, dst);
   export_latency().record(us_since(started));

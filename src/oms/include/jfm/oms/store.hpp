@@ -24,9 +24,7 @@
 //     check in link(), alongside the ordered adjacency vectors that
 //     keep targets()/sources() in link order.
 // Index maintenance is transactional -- the undo journal restores the
-// indexes exactly on abort() -- and results are bit-identical to the
-// full-scan path (StoreOptions::secondary_indexes=false, kept as the
-// bench ablation).
+// indexes exactly on abort().
 //
 // Change tracking (docs/incremental-checkout.md): the store carries a
 // monotonic mutation epoch, bumped on every mutation. Every live
@@ -35,9 +33,7 @@
 // O(changed) -- no full scans. Stamps are journaled exactly like the
 // secondary indexes, so abort() restores them; the epoch counter
 // itself never moves backwards (aborted work leaves a gap, which is
-// harmless: consumers only ever ask "changed since E"). Unlike the
-// secondary indexes the epoch layer has no ablation -- it is
-// maintained unconditionally.
+// harmless: consumers only ever ask "changed since E").
 //
 // Read isolation (docs/concurrency.md): the store carries one
 // reader-writer lock. All const queries (get*/targets/sources/
@@ -119,12 +115,6 @@ struct ChangedObject {
 };
 
 struct StoreOptions {
-  /// Maintain the secondary indexes and answer queries from them.
-  /// false restores the pre-index full-scan behaviour; it exists for
-  /// the bench_oms_query `indexes_off` ablation and must produce
-  /// bit-identical query results.
-  bool secondary_indexes = true;
-
   /// Durability mode (docs/persistence.md). `off` keeps the purely
   /// in-memory behaviour bit-identically -- the ablation every
   /// existing caller rides on; `wal` enables Store::open(), which
@@ -142,15 +132,6 @@ struct StoreOptions {
   /// Write a full snapshot (and truncate the WAL) every N committed
   /// records; 0 snapshots only on explicit snapshot() calls.
   std::uint64_t snapshot_every = 0;
-
-  /// Journal capacity reserved (and pre-faulted) whenever the WAL file
-  /// is created or truncated -- the log-file preallocation real
-  /// databases do with fallocate, so commit-path appends within the
-  /// reservation are pure memcpy instead of paying reallocation and
-  /// first-touch page faults. Sized as headroom for the WAL volume one
-  /// snapshot interval accumulates; growth past it falls back to
-  /// amortized doubling. 0 disables preallocation.
-  std::size_t wal_preallocate_bytes = 4u << 20;
 };
 
 class Store {
@@ -344,7 +325,7 @@ class Store {
     std::unordered_map<ObjectId, std::vector<ObjectId>> backward;
     /// O(1) membership twin of the adjacency vectors: linked() and the
     /// duplicate-edge check in link() hit this set instead of scanning
-    /// O(degree) vectors. Empty when secondary indexes are off.
+    /// O(degree) vectors.
     std::unordered_set<Edge, EdgeHash> edges;
   };
 
@@ -381,13 +362,8 @@ class Store {
   // lock-free bodies of destroy()/unlink(), shared with WAL replay
   support::Status destroy_locked(ObjectId id);
   support::Status unlink_locked(std::string_view relation, ObjectId from, ObjectId to);
-  // query bodies shared by the locking public wrappers; mu_ held
-  std::vector<ObjectId> find_locked(std::string_view class_name, std::string_view attr,
-                                    const AttrValue& value) const;
 
   // -- secondary-index maintenance (mu_ held exclusively) ----------------
-  // All helpers no-op when options_.secondary_indexes is false, so the
-  // mutators and the undo closures call them unconditionally.
   void index_add_object(ObjectId id, const Object& obj);     ///< class + attr entries
   void index_remove_object(ObjectId id, const Object& obj);  ///< class + attr entries
   void index_add_attr(ObjectId id, const std::string& cls, std::string_view attr,
@@ -398,8 +374,6 @@ class Store {
   void edge_erase(RelationIndex& index, ObjectId from, ObjectId to);
 
   // -- epoch maintenance (mu_ held exclusively) --------------------------
-  // Unlike the secondary indexes these have no ablation: the epoch
-  // layer is maintained unconditionally.
   /// Bump the store epoch, restamp `obj`, move its epoch-index entry
   /// and journal the restoration of the previous stamp.
   void touch(ObjectId id, Object& obj);
@@ -434,9 +408,9 @@ class Store {
   /// Seal the buffered tx ops into the next commit record, flush when
   /// the group is full and auto-snapshot on the snapshot_every cadence.
   void wal_package();
-  /// Re-apply the journal preallocation (StoreOptions::
-  /// wal_preallocate_bytes) after the WAL file was created, truncated
-  /// or rewritten. Best effort: the reservation is a performance hint.
+  /// Re-apply the journal preallocation (kWalPreallocateBytes in
+  /// persist.cpp) after the WAL file was created, truncated or
+  /// rewritten. Best effort: the reservation is a performance hint.
   void wal_preallocate_locked();
   support::Status wal_flush_locked();
   /// After a failed append the file may hold a torn half-record;

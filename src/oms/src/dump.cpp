@@ -2,7 +2,6 @@
 #include "jfm/oms/dump.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
@@ -34,8 +33,7 @@ Result<AttrValue> value_from_text(AttrType type, const std::string& text) {
   switch (type) {
     case AttrType::integer: {
       std::int64_t v = 0;
-      auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-      if (ec != std::errc{} || p != text.data() + text.size()) {
+      if (!support::parse_integer(text, v)) {
         return Result<AttrValue>::failure(Errc::parse_error, "bad integer '" + text + "'");
       }
       return AttrValue(v);
@@ -139,8 +137,12 @@ Status Dump::from_text(Store& store, const std::string& text) {
     auto fields = support::split_ws(line);
     const std::string& kind = fields[0];
     if (kind == "object") {
-      if (fields.size() != 4) return support::fail(Errc::parse_error, "bad object line");
-      std::uint64_t raw = std::stoull(fields[1]);
+      std::uint64_t raw = 0;
+      support::Timestamp created = 0;
+      if (fields.size() != 4 || !support::parse_integer(fields[1], raw) ||
+          !support::parse_integer(fields[3], created)) {
+        return support::fail(Errc::parse_error, "bad object line");
+      }
       if (store.schema_.find_class(fields[2]) == nullptr) {
         return support::fail(Errc::not_found, "dump references unknown class " + fields[2]);
       }
@@ -150,15 +152,18 @@ Status Dump::from_text(Store& store, const std::string& text) {
       }
       Store::Object obj;
       obj.class_name = fields[2];
-      obj.created = std::stoull(fields[3]);
+      obj.created = created;
       auto oit = store.objects_.emplace(id, std::move(obj)).first;
       // the import bypasses create(), so it maintains the secondary
       // indexes itself through the same private helpers
       store.index_add_object(id, oit->second);
       max_id = std::max(max_id, raw);
     } else if (kind == "attr") {
-      if (fields.size() < 4) return support::fail(Errc::parse_error, "bad attr line");
-      ObjectId id(std::stoull(fields[1]));
+      std::uint64_t raw = 0;
+      if (fields.size() < 4 || !support::parse_integer(fields[1], raw)) {
+        return support::fail(Errc::parse_error, "bad attr line");
+      }
+      ObjectId id(raw);
       auto oit = store.objects_.find(id);
       if (oit == store.objects_.end()) {
         return support::fail(Errc::parse_error, "attr before object");
@@ -194,13 +199,18 @@ Status Dump::from_text(Store& store, const std::string& text) {
       store.index_add_attr(id, oit->second.class_name, fields[2], stored);
       attrs[fields[2]] = std::move(stored);
     } else if (kind == "link") {
-      if (fields.size() != 4) return support::fail(Errc::parse_error, "bad link line");
+      std::uint64_t from_raw = 0;
+      std::uint64_t to_raw = 0;
+      if (fields.size() != 4 || !support::parse_integer(fields[2], from_raw) ||
+          !support::parse_integer(fields[3], to_raw)) {
+        return support::fail(Errc::parse_error, "bad link line");
+      }
       const RelationDef* rel = store.schema_.find_relation(fields[1]);
       if (rel == nullptr) {
         return support::fail(Errc::not_found, "dump references unknown relation " + fields[1]);
       }
-      ObjectId from(std::stoull(fields[2]));
-      ObjectId to(std::stoull(fields[3]));
+      ObjectId from(from_raw);
+      ObjectId to(to_raw);
       if (!store.objects_.contains(from) || !store.objects_.contains(to)) {
         return support::fail(Errc::parse_error, "link references missing object");
       }
@@ -211,7 +221,7 @@ Status Dump::from_text(Store& store, const std::string& text) {
   }
   if (!saw_end) return support::fail(Errc::parse_error, "dump truncated (no 'end')");
   // Preserve id continuity: new objects must not collide with imports.
-  while (store.ids_.issued() < max_id) store.ids_.next();
+  store.ids_.advance_to(max_id);
   // A durable store snapshots the imported image immediately so the
   // bypassed mutations become recoverable (best-effort: the WAL stays
   // consistent either way, it simply does not cover the import).

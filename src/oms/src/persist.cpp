@@ -80,6 +80,14 @@ std::string real_to_text(double v) {
   return os.str();
 }
 
+// Journal capacity reserved (and pre-faulted) whenever the WAL file is
+// created or truncated -- the log-file preallocation real databases do
+// with fallocate, so commit-path appends within the reservation are
+// pure memcpy instead of paying reallocation and first-touch page
+// faults. Sized as headroom for the WAL volume one snapshot interval
+// accumulates; growth past it falls back to amortized doubling.
+constexpr std::size_t kWalPreallocateBytes = 4u << 20;
+
 Status corrupt(const std::string& what) {
   return support::fail(Errc::parse_error, "snapshot: " + what);
 }
@@ -107,8 +115,8 @@ void Store::wal_package() {
 }
 
 void Store::wal_preallocate_locked() {
-  if (options_.wal_preallocate_bytes == 0 || journal_fs_ == nullptr) return;
-  (void)journal_fs_->reserve_file(wal_path(), options_.wal_preallocate_bytes);
+  if (journal_fs_ == nullptr) return;
+  (void)journal_fs_->reserve_file(wal_path(), kWalPreallocateBytes);
 }
 
 Status Store::wal_repair_tail() {
@@ -764,7 +772,7 @@ Status Store::open(vfs::FileSystem& fs, const vfs::Path& dir) {
   }
 
   // Keep new ids clear of every id the recovered image ever issued.
-  while (ids_.issued() < max_id) ids_.next();
+  ids_.advance_to(max_id);
   // Preallocate journal headroom up front (docs/persistence.md):
   // page faults and buffer growth are paid here, not per commit.
   wal_preallocate_locked();

@@ -24,19 +24,11 @@ telemetry::Counter& tx_counter(const char* which) {
 }
 
 // Query-path instrumentation (docs/oms-indexing.md): every public query
-// counts once, and exactly one of indexed/scan counts per query so the
-// hit rate of the index layer is directly visible in `stats index`.
-struct QueryMetrics {
-  telemetry::Counter& indexed =
-      telemetry::Registry::global().counter("oms.query.indexed.count");
-  telemetry::Counter& scans =
-      telemetry::Registry::global().counter("oms.query.scan.count");
-
-  static QueryMetrics& get() {
-    static QueryMetrics metrics;
-    return metrics;
-  }
-};
+// counts once, so the query volume is directly visible in `stats index`.
+telemetry::Counter& query_counter() {
+  static auto& queries = telemetry::Registry::global().counter("oms.query.indexed.count");
+  return queries;
+}
 
 // Index maintenance cost and live entry counts. The gauges track
 // exact entry counts across every store in the process (insert/erase
@@ -196,7 +188,6 @@ void Store::journal(std::function<void()> undo) {
 // ======================= secondary-index maintenance ======================
 
 void Store::index_add_object(ObjectId id, const Object& obj) {
-  if (!options_.secondary_indexes) return;
   auto& metrics = IndexMetrics::get();
   if (class_index_[obj.class_name].insert(id).second) {
     metrics.adds.add(1);
@@ -208,7 +199,6 @@ void Store::index_add_object(ObjectId id, const Object& obj) {
 }
 
 void Store::index_remove_object(ObjectId id, const Object& obj) {
-  if (!options_.secondary_indexes) return;
   auto& metrics = IndexMetrics::get();
   if (auto it = class_index_.find(obj.class_name); it != class_index_.end()) {
     if (it->second.erase(id) != 0) {
@@ -223,7 +213,6 @@ void Store::index_remove_object(ObjectId id, const Object& obj) {
 
 void Store::index_add_attr(ObjectId id, const std::string& cls, std::string_view attr,
                            const StoredValue& value) {
-  if (!options_.secondary_indexes) return;
   auto& metrics = IndexMetrics::get();
   auto& per_attr = attr_index_[cls];
   auto ait = per_attr.find(attr);
@@ -236,7 +225,6 @@ void Store::index_add_attr(ObjectId id, const std::string& cls, std::string_view
 
 void Store::index_remove_attr(ObjectId id, const std::string& cls, std::string_view attr,
                               const StoredValue& value) {
-  if (!options_.secondary_indexes) return;
   auto cit = attr_index_.find(cls);
   if (cit == attr_index_.end()) return;
   auto ait = cit->second.find(attr);
@@ -252,7 +240,6 @@ void Store::index_remove_attr(ObjectId id, const std::string& cls, std::string_v
 }
 
 void Store::edge_insert(RelationIndex& index, ObjectId from, ObjectId to) {
-  if (!options_.secondary_indexes) return;
   if (index.edges.insert({from, to}).second) {
     auto& metrics = IndexMetrics::get();
     metrics.adds.add(1);
@@ -261,7 +248,6 @@ void Store::edge_insert(RelationIndex& index, ObjectId from, ObjectId to) {
 }
 
 void Store::edge_erase(RelationIndex& index, ObjectId from, ObjectId to) {
-  if (!options_.secondary_indexes) return;
   if (index.edges.erase({from, to}) != 0) {
     auto& metrics = IndexMetrics::get();
     metrics.removes.add(1);
@@ -652,10 +638,7 @@ Status Store::link_nocheck(const RelationDef& rel, ObjectId from, ObjectId to) {
   const std::uint64_t e0 = epoch_.load(std::memory_order_relaxed);
   RelationIndex& index = relations_[rel.name];
   auto& fwd = index.forward[from];
-  const bool duplicate = options_.secondary_indexes
-                             ? index.edges.contains({from, to})
-                             : std::find(fwd.begin(), fwd.end(), to) != fwd.end();
-  if (duplicate) {
+  if (index.edges.contains({from, to})) {
     return support::fail(Errc::already_exists, "link already present");
   }
   if (rel.cardinality == Cardinality::one_to_one && !fwd.empty()) {
@@ -731,15 +714,8 @@ bool Store::linked(std::string_view relation, ObjectId from, ObjectId to) const 
   std::shared_lock lock(mu_);
   auto rit = relations_.find(relation);
   if (rit == relations_.end()) return false;
-  auto& metrics = QueryMetrics::get();
-  if (options_.secondary_indexes) {
-    metrics.indexed.add(1);
-    return rit->second.edges.contains({from, to});
-  }
-  metrics.scans.add(1);
-  auto fit = rit->second.forward.find(from);
-  if (fit == rit->second.forward.end()) return false;
-  return std::find(fit->second.begin(), fit->second.end(), to) != fit->second.end();
+  query_counter().add(1);
+  return rit->second.edges.contains({from, to});
 }
 
 Result<std::vector<ObjectId>> Store::targets(std::string_view relation, ObjectId from) const {
@@ -770,25 +746,15 @@ Result<std::vector<ObjectId>> Store::sources(std::string_view relation, ObjectId
 
 std::vector<ObjectId> Store::objects_of(std::string_view class_name) const {
   std::shared_lock lock(mu_);
-  auto& metrics = QueryMetrics::get();
-  if (options_.secondary_indexes) {
-    metrics.indexed.add(1);
-    std::vector<ObjectId> out;
-    for (const auto& cls : schema_.subclasses_of(class_name)) {
-      auto it = class_index_.find(cls);
-      if (it == class_index_.end()) continue;
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-    // each per-class run is already sorted; the union across classes
-    // is not, and the contract is global id order
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  metrics.scans.add(1);
+  query_counter().add(1);
   std::vector<ObjectId> out;
-  for (const auto& [id, obj] : objects_) {
-    if (schema_.is_a(obj.class_name, class_name)) out.push_back(id);
+  for (const auto& cls : schema_.subclasses_of(class_name)) {
+    auto it = class_index_.find(cls);
+    if (it == class_index_.end()) continue;
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
+  // each per-class run is already sorted; the union across classes
+  // is not, and the contract is global id order
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -796,12 +762,7 @@ std::vector<ObjectId> Store::objects_of(std::string_view class_name) const {
 std::vector<ObjectId> Store::find(std::string_view class_name, std::string_view attr,
                                   const AttrValue& value) const {
   std::shared_lock lock(mu_);
-  auto& metrics = QueryMetrics::get();
-  if (!options_.secondary_indexes) {
-    metrics.scans.add(1);
-    return find_locked(class_name, attr, value);
-  }
-  metrics.indexed.add(1);
+  query_counter().add(1);
   std::vector<ObjectId> out;
   for (const auto& cls : schema_.subclasses_of(class_name)) {
     auto cit = attr_index_.find(cls);
@@ -816,22 +777,10 @@ std::vector<ObjectId> Store::find(std::string_view class_name, std::string_view 
   return out;
 }
 
-std::vector<ObjectId> Store::find_locked(std::string_view class_name, std::string_view attr,
-                                         const AttrValue& value) const {
-  std::vector<ObjectId> out;
-  for (const auto& [id, obj] : objects_) {
-    if (!schema_.is_a(obj.class_name, class_name)) continue;
-    auto ait = obj.attrs.find(attr);
-    if (ait != obj.attrs.end() && stored_equals(ait->second, value)) out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<ChangedObject> Store::objects_changed_since(std::string_view class_name,
                                                         std::uint64_t epoch) const {
   std::shared_lock lock(mu_);
-  QueryMetrics::get().indexed.add(1);
+  query_counter().add(1);
   std::vector<ChangedObject> out;
   for (const auto& cls : schema_.subclasses_of(class_name)) {
     auto cit = epoch_index_.find(cls);
@@ -850,26 +799,19 @@ std::optional<ObjectId> Store::find_one(std::string_view class_name, std::string
   std::shared_lock lock(mu_);
   static auto& hits = telemetry::Registry::global().counter("oms.query.find_one.hit.count");
   static auto& misses = telemetry::Registry::global().counter("oms.query.find_one.miss.count");
-  auto& metrics = QueryMetrics::get();
+  query_counter().add(1);
   std::optional<ObjectId> best;
-  if (options_.secondary_indexes) {
-    metrics.indexed.add(1);
-    // the contract is find().front(), i.e. the smallest matching id;
-    // each value bucket is an ordered set, so per class that is begin()
-    for (const auto& cls : schema_.subclasses_of(class_name)) {
-      auto cit = attr_index_.find(cls);
-      if (cit == attr_index_.end()) continue;
-      auto ait = cit->second.find(attr);
-      if (ait == cit->second.end()) continue;
-      auto vit = ait->second.find(value);
-      if (vit == ait->second.end() || vit->second.empty()) continue;
-      ObjectId front = *vit->second.begin();
-      if (!best.has_value() || front < *best) best = front;
-    }
-  } else {
-    metrics.scans.add(1);
-    auto all = find_locked(class_name, attr, value);
-    if (!all.empty()) best = all.front();
+  // the contract is find().front(), i.e. the smallest matching id;
+  // each value bucket is an ordered set, so per class that is begin()
+  for (const auto& cls : schema_.subclasses_of(class_name)) {
+    auto cit = attr_index_.find(cls);
+    if (cit == attr_index_.end()) continue;
+    auto ait = cit->second.find(attr);
+    if (ait == cit->second.end()) continue;
+    auto vit = ait->second.find(value);
+    if (vit == ait->second.end() || vit->second.empty()) continue;
+    ObjectId front = *vit->second.begin();
+    if (!best.has_value() || front < *best) best = front;
   }
   (best.has_value() ? hits : misses).add(1);
   return best;

@@ -39,6 +39,10 @@ class IdAllocator {
  public:
   Id<Tag> next() noexcept { return Id<Tag>(++last_); }
   std::uint64_t issued() const noexcept { return last_; }
+  /// Mark every id up to `raw` as issued (no-op if already past it).
+  void advance_to(std::uint64_t raw) noexcept {
+    if (raw > last_) last_ = raw;
+  }
 
  private:
   std::uint64_t last_ = 0;

@@ -38,33 +38,32 @@ Result<Testbench> Testbench::parse(const std::string& payload) {
     auto fail = [&](const std::string& why) {
       return Result<Testbench>::failure(Errc::parse_error, "testbench: " + why);
     };
-    try {
-      if (f[0] == "dut" && f.size() == 3) {
-        out.dut = {f[1], f[2]};
-      } else if (f[0] == "stim" && f.size() == 4 && f[2].size() >= 1 && f[3].size() == 1) {
-        auto v = logic_from(f[3][0]);
-        if (!v.ok()) return fail(v.error().message);
-        out.stimuli.push_back({std::stoull(f[1]), f[2], *v});
-      } else if (f[0] == "watch" && f.size() == 2) {
-        out.watches.push_back(f[1]);
-      } else if (f[0] == "runtime" && f.size() == 2) {
-        out.runtime = std::stoull(f[1]);
-      } else if (f[0] == "result" && f.size() == 3 && f[2].size() == 1) {
-        auto v = logic_from(f[2][0]);
-        if (!v.ok()) return fail(v.error().message);
-        out.results.emplace_back(f[1], *v);
-        out.has_results = true;
-      } else if (f[0] == "trace" && f.size() == 4) {
-        out.trace_text.push_back(f[1] + " " + f[2] + " " + f[3]);
-        out.has_results = true;
-      } else if (f[0] == "events" && f.size() == 2) {
-        out.events = std::stoull(f[1]);
-        out.has_results = true;
-      } else {
-        return fail("bad record '" + std::string(line) + "'");
-      }
-    } catch (const std::exception&) {
-      return fail("bad number in '" + std::string(line) + "'");
+    auto bad_number = [&] { return fail("bad number in '" + std::string(line) + "'"); };
+    if (f[0] == "dut" && f.size() == 3) {
+      out.dut = {f[1], f[2]};
+    } else if (f[0] == "stim" && f.size() == 4 && f[2].size() >= 1 && f[3].size() == 1) {
+      auto v = logic_from(f[3][0]);
+      if (!v.ok()) return fail(v.error().message);
+      SimTime time = 0;
+      if (!support::parse_integer(f[1], time)) return bad_number();
+      out.stimuli.push_back({time, f[2], *v});
+    } else if (f[0] == "watch" && f.size() == 2) {
+      out.watches.push_back(f[1]);
+    } else if (f[0] == "runtime" && f.size() == 2) {
+      if (!support::parse_integer(f[1], out.runtime)) return bad_number();
+    } else if (f[0] == "result" && f.size() == 3 && f[2].size() == 1) {
+      auto v = logic_from(f[2][0]);
+      if (!v.ok()) return fail(v.error().message);
+      out.results.emplace_back(f[1], *v);
+      out.has_results = true;
+    } else if (f[0] == "trace" && f.size() == 4) {
+      out.trace_text.push_back(f[1] + " " + f[2] + " " + f[3]);
+      out.has_results = true;
+    } else if (f[0] == "events" && f.size() == 2) {
+      if (!support::parse_integer(f[1], out.events)) return bad_number();
+      out.has_results = true;
+    } else {
+      return fail("bad record '" + std::string(line) + "'");
     }
   }
   return out;
@@ -107,19 +106,17 @@ Result<DesignFile> SimulatorTool::apply(const DesignFile& doc, const std::string
     }
     auto v = logic_from(args[1 + 1][0]);
     if (!v.ok()) return fail(v.error().code, v.error().message);
-    try {
-      tb.stimuli.push_back({std::stoull(args[0]), args[1], *v});
-    } catch (const std::exception&) {
+    SimTime time = 0;
+    if (!support::parse_integer(args[0], time)) {
       return fail(Errc::invalid_argument, "add-stim: bad time");
     }
+    tb.stimuli.push_back({time, args[1], *v});
   } else if (command == "add-watch") {
     if (args.size() != 1) return fail(Errc::invalid_argument, "add-watch <signal>");
     tb.watches.push_back(args[0]);
   } else if (command == "set-runtime") {
     if (args.size() != 1) return fail(Errc::invalid_argument, "set-runtime <t>");
-    try {
-      tb.runtime = std::stoull(args[0]);
-    } catch (const std::exception&) {
+    if (!support::parse_integer(args[0], tb.runtime)) {
       return fail(Errc::invalid_argument, "set-runtime: bad time");
     }
   } else if (command == "clear-results") {

@@ -4,7 +4,7 @@
 // full-walk oracle world driven by the same randomized op stream --
 // including across structure changes (new cells wired under the root),
 // which must invalidate the cursor and force a full re-walk. Plus: the
-// JCF change feed itself, cursor bookkeeping, the ablation flag, and a
+// JCF change feed itself, cursor bookkeeping, the full-walk entry, and a
 // fault-injected leg where a mid-delta failure rolls back and leaves
 // the cursor unmoved.
 
@@ -62,11 +62,10 @@ struct World {
   std::vector<std::string> cells;
 };
 
-World build_world(bool incremental_on) {
+World build_world() {
   World w;
   HybridConfig config;
   config.content_addressed_cache = true;
-  config.incremental_checkout = incremental_on;
   w.hybrid = std::make_unique<HybridFramework>(config);
   EXPECT_TRUE(w.hybrid->bootstrap().ok());
   w.alice = *w.hybrid->add_designer("alice");
@@ -112,8 +111,8 @@ class IncrementalCheckoutProperty : public ::testing::TestWithParam<std::uint32_
 
 TEST_P(IncrementalCheckoutProperty, DeltaSyncsStayBitIdenticalToTheFullWalkOracle) {
   const std::uint32_t seed = GetParam();
-  World incr = build_world(/*incremental_on=*/true);
-  World full = build_world(/*incremental_on=*/false);
+  World incr = build_world();
+  World full = build_world();
   // Same generator state for both worlds: identical op streams.
   std::mt19937 incr_rng(seed);
   std::mt19937 full_rng(seed);
@@ -126,12 +125,12 @@ TEST_P(IncrementalCheckoutProperty, DeltaSyncsStayBitIdenticalToTheFullWalkOracl
       mutate(full, full_rng, &full_step);
     }
     auto a = incr.hybrid->checkout_hierarchy("p", "top", incr.alice, dst);
-    auto b = full.hybrid->checkout_hierarchy("p", "top", full.alice, dst);
+    auto b = full.hybrid->checkout_hierarchy_full("p", "top", full.alice, dst);
     ASSERT_TRUE(a.ok()) << a.error().to_text();
     ASSERT_TRUE(b.ok()) << b.error().to_text();
     ASSERT_TRUE(a->failures.empty());
     ASSERT_TRUE(b->failures.empty());
-    // The ablation world must never take the delta path.
+    // The oracle world must never take the delta path.
     EXPECT_FALSE(b->incremental);
     EXPECT_EQ(tree_contents(incr.hybrid->fs(), dst), tree_contents(full.hybrid->fs(), dst))
         << "seed " << seed << " round " << round;
@@ -157,7 +156,7 @@ class IncrementalCheckoutTest : public ::testing::Test {
 };
 
 TEST_F(IncrementalCheckoutTest, JcfChangeFeedReportsCreatedAndSupersededDovs) {
-  World w = build_world(/*incremental_on=*/true);
+  World w = build_world();
   auto& jcf = w.hybrid->jcf();
   const std::uint64_t cursor = jcf.store().epoch();
   auto run = w.hybrid->run_activity("p", "alu", "enter_schematic", w.alice, edit(0));
@@ -179,7 +178,7 @@ TEST_F(IncrementalCheckoutTest, JcfChangeFeedReportsCreatedAndSupersededDovs) {
 }
 
 TEST_F(IncrementalCheckoutTest, StructureChangesInvalidateTheCursor) {
-  World w = build_world(/*incremental_on=*/true);
+  World w = build_world();
   const auto dst = vfs::Path().child("scratch").child("inv");
   ASSERT_TRUE(w.hybrid->checkout_hierarchy("p", "top", w.alice, dst).ok());
   const std::uint64_t structure_before = w.hybrid->jcf().structure_epoch();
@@ -205,7 +204,7 @@ TEST_F(IncrementalCheckoutTest, StructureChangesInvalidateTheCursor) {
 }
 
 TEST_F(IncrementalCheckoutTest, UnchangedRepeatSyncSkipsEverything) {
-  World w = build_world(/*incremental_on=*/true);
+  World w = build_world();
   const auto dst = vfs::Path().child("scratch").child("skip");
   auto first = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst);
   ASSERT_TRUE(first.ok());
@@ -220,7 +219,7 @@ TEST_F(IncrementalCheckoutTest, UnchangedRepeatSyncSkipsEverything) {
 }
 
 TEST_F(IncrementalCheckoutTest, FailedDeltaRollsBackAndLeavesTheCursorUnmoved) {
-  World w = build_world(/*incremental_on=*/true);
+  World w = build_world();
   auto& fs = w.hybrid->fs();
   const auto dst = vfs::Path().child("scratch").child("faulty");
   ASSERT_TRUE(w.hybrid->checkout_hierarchy("p", "top", w.alice, dst).ok());
@@ -259,11 +258,11 @@ TEST_F(IncrementalCheckoutTest, FailedDeltaRollsBackAndLeavesTheCursorUnmoved) {
   EXPECT_EQ(tree_contents(fs, dst), tree_contents(fs, oracle_dst));
 }
 
-TEST_F(IncrementalCheckoutTest, AblationConfigNeverTakesTheDeltaPath) {
-  World w = build_world(/*incremental_on=*/false);
-  const auto dst = vfs::Path().child("scratch").child("abl");
+TEST_F(IncrementalCheckoutTest, FullCheckoutNeverTakesTheDeltaPath) {
+  World w = build_world();
+  const auto dst = vfs::Path().child("scratch").child("full");
   for (int i = 0; i < 3; ++i) {
-    auto report = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst);
+    auto report = w.hybrid->checkout_hierarchy_full("p", "top", w.alice, dst);
     ASSERT_TRUE(report.ok());
     EXPECT_FALSE(report->incremental);
     EXPECT_EQ(report->cells, 3u);

@@ -338,26 +338,5 @@ TEST_F(ParallelCheckoutTest, CacheProbeMemoizesSoSecondProbeIsFree) {
   EXPECT_EQ(engine.stats_snapshot().cache_hits, 2u);
 }
 
-// The serialization ablation still produces correct results -- it only
-// changes the locking, never the data path.
-TEST_F(ParallelCheckoutTest, ExclusiveTransfersAblationStaysCorrect) {
-  constexpr int kObjects = 8;
-  Env env(kObjects);
-  TransferOptions options;
-  options.copy_through_filesystem = true;
-  options.content_addressed_cache = true;
-  options.exclusive_transfers = true;
-  TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
-  auto items = requests(env, "e");
-  auto results = engine.export_batch(items, 8);
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_TRUE(results[i].ok()) << i;
-  EXPECT_EQ(engine.stats_snapshot().exports, static_cast<std::uint64_t>(kObjects));
-  for (int i = 0; i < kObjects; ++i) {
-    auto content = env.fs.read_file(vfs::Path().child("out").child("e" + std::to_string(i)));
-    ASSERT_TRUE(content.ok());
-    EXPECT_EQ(content->size(), 200u + 17u * static_cast<unsigned>(i));
-  }
-}
-
 }  // namespace
 }  // namespace jfm::coupling

@@ -84,6 +84,27 @@ TEST(Dump, RejectsMalformedInput) {
   EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nlink next 1 2\nend\n"), Errc::parse_error);
   EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nobject 1 Item 0\nend\n"), Errc::parse_error);
   EXPECT_EQ(code("omsdump 1\nend\ntrailing\n"), Errc::parse_error);
+  // malformed numbers are parse errors, never exceptions or wrap-arounds
+  EXPECT_EQ(code("omsdump 1\nobject x Item 0\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item zz\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject -1 Item 0\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1x Item 0\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 99999999999999999999 Item 0\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr q n 3\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr -1 count 3\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr 1 count 3x\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nlink next 1 z\nend\n"), Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nlink next -1 1\nend\n"), Errc::parse_error);
+}
+
+// Ids in a dump may be sparse and large; the allocator jumps past the
+// largest one in O(1) instead of issuing every id in between.
+TEST(Dump, LargeObjectIdsImportAndKeepAllocationClear) {
+  support::SimClock clock;
+  Store store(dump_schema(), &clock);
+  ASSERT_TRUE(Dump::from_text(store, "omsdump 1\nobject 1000000000000 Item 0\nend\n").ok());
+  EXPECT_TRUE(store.exists(ObjectId(1000000000000ull)));
+  EXPECT_EQ(store.create("Item")->raw(), 1000000000001ull);
 }
 
 TEST(Dump, ExportImportThroughVfs) {

@@ -138,16 +138,6 @@ TEST_F(EpochTest, DestroyedObjectsLeaveTheFeedAndAbortBringsThemBack) {
   EXPECT_EQ(ids_of(store.objects_changed_since("Node", 0)), std::vector<ObjectId>{b});
 }
 
-TEST_F(EpochTest, EpochIndexIsMaintainedWithSecondaryIndexesDisabled) {
-  // Change tracking is not an ablation: the scan-path store keeps the
-  // same epoch index (docs/incremental-checkout.md).
-  Store scan_store{epoch_schema(), &clock, StoreOptions{.secondary_indexes = false}};
-  const std::uint64_t cursor = scan_store.epoch();
-  auto a = *scan_store.create("Node");
-  EXPECT_EQ(ids_of(scan_store.objects_changed_since("Node", cursor)),
-            std::vector<ObjectId>{a});
-}
-
 TEST_F(EpochTest, FeedReadersRaceCommitBurstsCleanly) {
   // TSan target: four writer lanes commit create/set bursts while four
   // reader lanes iterate the feed through the shared executor. The

@@ -52,6 +52,14 @@ TEST(Testbench, ParseErrors) {
   EXPECT_EQ(Testbench::parse("what 1 2").code(), Errc::parse_error);
   EXPECT_EQ(Testbench::parse("stim x a 1").code(), Errc::parse_error);
   EXPECT_EQ(Testbench::parse("stim 0 a Q").code(), Errc::parse_error);
+  // trailing garbage and negative numbers are rejected, not truncated
+  // or wrapped around
+  EXPECT_EQ(Testbench::parse("runtime 12abc").code(), Errc::parse_error);
+  EXPECT_EQ(Testbench::parse("runtime -5").code(), Errc::parse_error);
+  EXPECT_EQ(Testbench::parse("stim 3x a 1").code(), Errc::parse_error);
+  EXPECT_EQ(Testbench::parse("stim -1 a 1").code(), Errc::parse_error);
+  EXPECT_EQ(Testbench::parse("events 9z").code(), Errc::parse_error);
+  EXPECT_EQ(Testbench::parse("events -9").code(), Errc::parse_error);
 }
 
 class SimToolTest : public ::testing::Test {
@@ -104,6 +112,15 @@ TEST_F(SimToolTest, RunFailsWithoutResolverOrDut) {
   EXPECT_EQ(tool.apply(d, "run", {}).code(), Errc::invalid_argument);  // no DUT
   d = apply_ok(d, "set-dut", {"ghost", "schematic"});
   EXPECT_EQ(tool.apply(d, "run", {}).code(), Errc::not_found);
+}
+
+TEST_F(SimToolTest, MalformedTimesAreRejected) {
+  auto d = doc();
+  for (const char* bad : {"12abc", "-5", "", "x"}) {
+    EXPECT_EQ(tool.apply(d, "set-runtime", {bad}).code(), Errc::invalid_argument) << bad;
+    EXPECT_EQ(tool.apply(d, "add-stim", {bad, "a", "1"}).code(), Errc::invalid_argument)
+        << bad;
+  }
 }
 
 TEST_F(SimToolTest, BadStimulusSignalReported) {
