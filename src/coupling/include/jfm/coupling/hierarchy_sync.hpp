@@ -9,12 +9,15 @@
 //  * procedural mode (the paper's future work): a procedural interface
 //    tools use to pass hierarchy information to JCF in bulk.
 //
-// It also enforces the JCF 3.0 limitation: non-isomorphic hierarchies
-// (schematic vs layout structure differing) are rejected with
-// Errc::not_supported unless `allow_non_isomorphic` models a future
-// JCF release.
+// It also owns the two rules the activity wrapper applies to a
+// structural document before it leaves the tool (admit()): children
+// JCF has not declared are submitted or refused, and non-isomorphic
+// hierarchies (schematic vs layout structure differing) are rejected
+// with Errc::not_supported unless `allow_non_isomorphic` models a
+// future JCF release.
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,12 +41,6 @@ class HierarchySubmitter {
         procedural_interface_(procedural_interface),
         allow_non_isomorphic_(allow_non_isomorphic) {}
 
-  /// Check that every view of `cell` that has design data yields the
-  /// same cell-structure hierarchy. Returns not_supported with the
-  /// offending views when they differ (and the extension is off).
-  support::Status check_isomorphic(fmcad::Library& library, const std::string& cell,
-                                   const std::vector<std::string>& views);
-
   /// Extract the direct children of (cell, view) from the FMCAD design
   /// file and submit the parent->child relations to JCF's CompOf
   /// metadata. `project` supplies the JCF cells; children must already
@@ -62,20 +59,40 @@ class HierarchySubmitter {
   support::Status submit_children(jcf::ProjectRef project, const std::string& parent_cell,
                                   const std::vector<std::string>& child_cells);
 
-  /// Are the direct children recorded in JCF consistent with what the
-  /// design file of (cell, view) instantiates? Returns the missing
-  /// child cell names (empty = consistent).
-  support::Result<std::vector<std::string>> undeclared_children(
-      fmcad::Library& library, const fmcad::CellViewKey& root, jcf::ProjectRef project) const;
+  // -- the save-time hierarchy rules ---------------------------------------
+  /// Cells JCF's CompOf metadata records as direct children of the
+  /// latest version of `cell` (empty when JCF does not know the cell).
+  std::set<std::string> declared_children(jcf::ProjectRef project,
+                                          const std::string& cell) const;
+  /// Rule 1: the cells `doc` instantiates that JCF has not declared as
+  /// children of doc.cell, in name order (empty = consistent).
+  std::vector<std::string> undeclared_children(jcf::ProjectRef project,
+                                               const fmcad::DesignFile& doc) const;
+  /// Rule 2: the child set of `doc` must equal that of the default
+  /// version of every other view in `views` that already has instances
+  /// in `library` (views without data or without instances are skipped:
+  /// their hierarchy is not entered yet). A mismatch counts one
+  /// rejection and fails with not_supported, unless the future-JCF
+  /// extension is on.
+  support::Status check_isomorphic(fmcad::Library& library, const fmcad::DesignFile& doc,
+                                   const std::vector<std::string>& views);
+  /// Both rules, as the activity wrapper applies them before `doc`
+  /// leaves the tool: undeclared children go through the procedural
+  /// interface when it is on and are refused with consistency_violation
+  /// otherwise; then rule 2 over `views`.
+  support::Status admit(fmcad::Library& library, jcf::ProjectRef project,
+                        const fmcad::DesignFile& doc, const std::vector<std::string>& views);
 
   const HierarchyStats& stats() const noexcept { return stats_; }
   bool procedural_interface() const noexcept { return procedural_interface_; }
 
  private:
-  support::Result<std::vector<std::string>> child_cells_of(fmcad::Library& library,
-                                                           const fmcad::CellViewKey& root) const;
   support::Result<jcf::CellVersionRef> latest_cv(jcf::ProjectRef project,
                                                  const std::string& cell) const;
+  /// CompOf parent->child for each named child not yet declared; in
+  /// manual mode each new relation costs one desktop step.
+  support::Status add_children(jcf::CellVersionRef parent, jcf::ProjectRef project,
+                               const std::vector<std::string>& child_cells);
 
   jcf::JcfFramework* jcf_;
   bool procedural_interface_;

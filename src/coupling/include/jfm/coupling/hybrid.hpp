@@ -311,6 +311,17 @@ class HybridFramework {
                                                      const std::vector<ToolCommand>& edits,
                                                      bool force);
   fmcad::DesignerSession* session_for(ProjectCtx& ctx, const std::string& user);
+  /// Make the FMCAD default version of `key` equal `text`: one
+  /// checkout, write and checkin when they differ, nothing otherwise. A
+  /// failure after the checkout cancels it again.
+  support::Status stage_default(fmcad::DesignerSession& session, const fmcad::CellViewKey& key,
+                                const std::string& text);
+  /// The bytes of `dov` as the transfer engine materializes them:
+  /// export to /scratch/<scratch_name>, read, remove.
+  support::Result<std::string> export_text(jcf::DovRef dov, jcf::UserRef user,
+                                           const std::string& scratch_name);
+  /// Undoes a failed activity run (defined in hybrid.cpp).
+  class ActivityGuard;
   support::Result<jcf::VariantRef> work_variant(const std::string& project,
                                                 const std::string& cell) const;
   /// Shared body of checkout_hierarchy / checkout_hierarchy_full.
@@ -347,7 +358,6 @@ class HybridFramework {
   // current-run context consulted by the extension-language guards
   ProjectCtx* guard_ctx_ = nullptr;
   std::string guard_cell_;
-  std::string guard_view_;
   std::vector<std::string>* guard_run_log_ = nullptr;
 };
 

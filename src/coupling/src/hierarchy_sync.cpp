@@ -1,8 +1,8 @@
 #include "jfm/coupling/hierarchy_sync.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "jfm/support/strings.hpp"
 #include "jfm/support/telemetry.hpp"
 
 namespace jfm::coupling {
@@ -17,83 +17,39 @@ support::telemetry::Counter& hier_counter(const char* which) {
   return support::telemetry::Registry::global().counter(
       std::string("coupling.hierarchy.") + which + ".count");
 }
-}  // namespace
 
-Status HierarchySubmitter::check_isomorphic(fmcad::Library& library, const std::string& cell,
-                                            const std::vector<std::string>& views) {
-  fmcad::HierarchyBinder binder(&library);
-  std::string reference_sig;
-  std::string reference_view;
-  for (const auto& view : views) {
-    fmcad::CellViewKey key{cell, view};
-    const auto* record = library.meta().find_cellview(key);
-    if (record == nullptr || record->default_version() == nullptr) continue;  // no data yet
-    auto sig = binder.signature(key);
-    if (!sig.ok()) return Status(sig.error());
-    if (reference_sig.empty()) {
-      reference_sig = *sig;
-      reference_view = view;
-      continue;
-    }
-    if (*sig != reference_sig) {
-      if (allow_non_isomorphic_) continue;  // future JCF releases support this
-      ++stats_.non_isomorphic_rejections;
-      hier_counter("non_isomorphic_rejection").add(1);
-      return support::fail(Errc::not_supported,
-                           "non-isomorphic hierarchies: view " + view + " of cell " + cell +
-                               " differs from view " + reference_view +
-                               " (not supported by JCF 3.0)");
-    }
-  }
-  return {};
-}
-
-Result<std::vector<std::string>> HierarchySubmitter::child_cells_of(
-    fmcad::Library& library, const fmcad::CellViewKey& root) const {
-  const auto* record = library.meta().find_cellview(root);
-  if (record == nullptr) {
-    return Result<std::vector<std::string>>::failure(Errc::not_found,
-                                                     "cellview " + root.str());
-  }
-  const auto* version = record->default_version();
-  if (version == nullptr) return std::vector<std::string>{};  // empty design
-  auto text = library.fs().read_file(library.cellview_dir(root).child(version->file));
-  if (!text.ok()) {
-    return Result<std::vector<std::string>>::failure(text.error().code, text.error().message);
-  }
-  auto file = fmcad::DesignFile::parse(*text);
-  if (!file.ok()) {
-    return Result<std::vector<std::string>>::failure(file.error().code, file.error().message);
-  }
+/// The direct child cells a design file instantiates.
+std::set<std::string> child_set(const fmcad::DesignFile& doc) {
   std::set<std::string> cells;
-  for (const auto& use : file->uses) cells.insert(use.cell);
-  return std::vector<std::string>(cells.begin(), cells.end());
+  for (const auto& use : doc.uses) cells.insert(use.cell);
+  return cells;
 }
+
+/// Child set of the default version of `key` (empty: no version yet).
+Result<std::set<std::string>> default_children(fmcad::Library& library,
+                                               const fmcad::CellViewKey& key) {
+  const auto* record = library.meta().find_cellview(key);
+  if (record == nullptr) return support::fail(Errc::not_found, "cellview " + key.str());
+  const auto* version = record->default_version();
+  if (version == nullptr) return std::set<std::string>{};
+  auto text = library.fs().read_file(library.cellview_dir(key).child(version->file));
+  if (!text.ok()) return text.error();
+  auto file = fmcad::DesignFile::parse(*text);
+  if (!file.ok()) return file.error();
+  return child_set(*file);
+}
+}  // namespace
 
 Result<jcf::CellVersionRef> HierarchySubmitter::latest_cv(jcf::ProjectRef project,
                                                           const std::string& cell) const {
   auto jcf_cell = jcf_->find_cell(project, cell);
-  if (!jcf_cell.ok()) {
-    return Result<jcf::CellVersionRef>::failure(jcf_cell.error().code, jcf_cell.error().message);
-  }
+  if (!jcf_cell.ok()) return jcf_cell.error();
   return jcf_->latest_cell_version(*jcf_cell);
 }
 
-Status HierarchySubmitter::submit(fmcad::Library& library, const fmcad::CellViewKey& root,
-                                  jcf::ProjectRef project) {
-  auto child_cells = child_cells_of(library, root);
-  if (!child_cells.ok()) return Status(child_cells.error());
-  auto parent_cv = latest_cv(project, root.cell);
-  if (!parent_cv.ok()) {
-    return support::fail(Errc::consistency_violation,
-                         "hierarchy submission: parent cell " + root.cell +
-                             " is not registered in JCF: " + parent_cv.error().message);
-  }
-  if (procedural_interface_) {
-    ++stats_.procedural_calls;
-    hier_counter("procedural_call").add(1);
-  }
-  for (const auto& child : *child_cells) {
+Status HierarchySubmitter::add_children(jcf::CellVersionRef parent, jcf::ProjectRef project,
+                                        const std::vector<std::string>& child_cells) {
+  for (const auto& child : child_cells) {
     auto child_cv = latest_cv(project, child);
     if (!child_cv.ok()) {
       return support::fail(Errc::consistency_violation,
@@ -101,7 +57,7 @@ Status HierarchySubmitter::submit(fmcad::Library& library, const fmcad::CellView
                                " must be defined in JCF before the design starts");
     }
     // Already declared? CompOf is idempotent here.
-    auto existing = jcf_->children(*parent_cv);
+    auto existing = jcf_->children(parent);
     bool present = existing.ok() && std::find(existing->begin(), existing->end(), *child_cv) !=
                                         existing->end();
     if (present) continue;
@@ -112,11 +68,28 @@ Status HierarchySubmitter::submit(fmcad::Library& library, const fmcad::CellView
       ++stats_.desktop_steps;
       hier_counter("desktop_step").add(1);
     }
-    if (auto st = jcf_->add_child(*parent_cv, *child_cv); !st.ok()) return st;
+    if (auto st = jcf_->add_child(parent, *child_cv); !st.ok()) return st;
     ++stats_.relations_submitted;
     hier_counter("relation_submitted").add(1);
   }
   return {};
+}
+
+Status HierarchySubmitter::submit(fmcad::Library& library, const fmcad::CellViewKey& root,
+                                  jcf::ProjectRef project) {
+  auto child_cells = default_children(library, root);
+  if (!child_cells.ok()) return child_cells.error();
+  auto parent_cv = latest_cv(project, root.cell);
+  if (!parent_cv.ok()) {
+    return support::fail(Errc::consistency_violation,
+                         "hierarchy submission: parent cell " + root.cell +
+                             " is not registered in JCF: " + parent_cv.error().message);
+  }
+  if (procedural_interface_) {
+    ++stats_.procedural_calls;
+    hier_counter("procedural_call").add(1);
+  }
+  return add_children(*parent_cv, project, {child_cells->begin(), child_cells->end()});
 }
 
 Status HierarchySubmitter::declare(jcf::CellVersionRef parent, jcf::CellVersionRef child) {
@@ -136,50 +109,74 @@ Status HierarchySubmitter::submit_children(jcf::ProjectRef project,
                          "JCF 3.0 has no procedural hierarchy interface (future work)");
   }
   auto parent_cv = latest_cv(project, parent_cell);
-  if (!parent_cv.ok()) return Status(parent_cv.error());
+  if (!parent_cv.ok()) return parent_cv.error();
   ++stats_.procedural_calls;
   hier_counter("procedural_call").add(1);
-  for (const auto& child : child_cells) {
-    auto child_cv = latest_cv(project, child);
-    if (!child_cv.ok()) {
-      return support::fail(Errc::consistency_violation,
-                           "child cell " + child + " is not registered in JCF");
+  return add_children(*parent_cv, project, child_cells);
+}
+
+std::set<std::string> HierarchySubmitter::declared_children(jcf::ProjectRef project,
+                                                            const std::string& cell) const {
+  std::set<std::string> declared;
+  auto cv = latest_cv(project, cell);
+  if (!cv.ok()) return declared;
+  auto kids = jcf_->children(*cv);
+  if (!kids.ok()) return declared;
+  for (auto kid : *kids) {
+    auto kid_cell = jcf_->cell_of(kid);
+    if (!kid_cell.ok()) continue;
+    auto name = jcf_->name_of(kid_cell->id);
+    if (name.ok()) declared.insert(*name);
+  }
+  return declared;
+}
+
+std::vector<std::string> HierarchySubmitter::undeclared_children(
+    jcf::ProjectRef project, const fmcad::DesignFile& doc) const {
+  std::vector<std::string> missing;
+  if (doc.uses.empty()) return missing;
+  const auto declared = declared_children(project, doc.cell);
+  for (const auto& child : child_set(doc)) {
+    if (!declared.contains(child)) missing.push_back(child);
+  }
+  return missing;
+}
+
+Status HierarchySubmitter::check_isomorphic(fmcad::Library& library,
+                                            const fmcad::DesignFile& doc,
+                                            const std::vector<std::string>& views) {
+  if (allow_non_isomorphic_) return {};  // future JCF releases support this
+  const auto children = child_set(doc);
+  if (children.empty()) return {};
+  for (const auto& view : views) {
+    if (view == doc.view) continue;
+    auto other = default_children(library, {doc.cell, view});
+    if (!other.ok() || other->empty()) continue;  // no data, or hierarchy not entered yet
+    if (*other != children) {
+      ++stats_.non_isomorphic_rejections;
+      hier_counter("non_isomorphic_rejection").add(1);
+      return support::fail(Errc::not_supported,
+                           "non-isomorphic hierarchies between " + doc.view + " and " + view +
+                               " of " + doc.cell + " (not supported by JCF 3.0)");
     }
-    auto existing = jcf_->children(*parent_cv);
-    bool present = existing.ok() && std::find(existing->begin(), existing->end(), *child_cv) !=
-                                        existing->end();
-    if (present) continue;
-    if (auto st = jcf_->add_child(*parent_cv, *child_cv); !st.ok()) return st;
-    ++stats_.relations_submitted;
-    hier_counter("relation_submitted").add(1);
   }
   return {};
 }
 
-Result<std::vector<std::string>> HierarchySubmitter::undeclared_children(
-    fmcad::Library& library, const fmcad::CellViewKey& root, jcf::ProjectRef project) const {
-  auto child_cells = child_cells_of(library, root);
-  if (!child_cells.ok()) {
-    return Result<std::vector<std::string>>::failure(child_cells.error().code,
-                                                     child_cells.error().message);
-  }
-  auto parent_cv = latest_cv(project, root.cell);
-  if (!parent_cv.ok()) return *child_cells;  // nothing declared at all
-  auto declared = jcf_->children(*parent_cv);
-  std::set<std::string> declared_names;
-  if (declared.ok()) {
-    for (auto cv : *declared) {
-      auto cell = jcf_->cell_of(cv);
-      if (!cell.ok()) continue;
-      auto name = jcf_->name_of(cell->id);
-      if (name.ok()) declared_names.insert(*name);
+Status HierarchySubmitter::admit(fmcad::Library& library, jcf::ProjectRef project,
+                                 const fmcad::DesignFile& doc,
+                                 const std::vector<std::string>& views) {
+  auto undeclared = undeclared_children(project, doc);
+  if (!undeclared.empty()) {
+    if (!procedural_interface_) {
+      return support::fail(Errc::consistency_violation,
+                           "hierarchy of " + doc.cell + "/" + doc.view +
+                               " uses undeclared children " + support::join(undeclared, ", ") +
+                               "; submit them via the JCF desktop first");
     }
+    if (auto st = submit_children(project, doc.cell, undeclared); !st.ok()) return st;
   }
-  std::vector<std::string> missing;
-  for (const auto& child : *child_cells) {
-    if (!declared_names.contains(child)) missing.push_back(child);
-  }
-  return missing;
+  return check_isomorphic(library, doc, views);
 }
 
 }  // namespace jfm::coupling

@@ -26,9 +26,11 @@ vfs::Path root_path(const char* name) {
   return vfs::Path().child(name);
 }
 
-template <typename T>
-Result<T> forward_error(const support::Error& e) {
-  return Result<T>::failure(e.code, e.message);
+// Views whose documents carry hierarchy; the simulator's uses-list is
+// a DUT *reference*, not a CompOf relation.
+const std::vector<std::string>& structural_views() {
+  static const std::vector<std::string> kViews = {"schematic", "layout"};
+  return kViews;
 }
 
 oms::StoreOptions store_options_for(const HybridConfig& config) {
@@ -81,19 +83,9 @@ void HybridFramework::install_guards() {
           return Result<extlang::Value>::failure(Errc::invalid_argument,
                                                  "jcf-child-declared expects a cell name");
         }
-        auto cell = jcf_.find_cell(guard_ctx_->ref, guard_cell_);
-        if (!cell.ok()) return extlang::Value(false);
-        auto cv = jcf_.latest_cell_version(*cell);
-        if (!cv.ok()) return extlang::Value(false);
-        auto kids = jcf_.children(*cv);
-        if (!kids.ok()) return extlang::Value(false);
-        for (auto kid : *kids) {
-          auto kid_cell = jcf_.cell_of(kid);
-          if (!kid_cell.ok()) continue;
-          auto name = jcf_.name_of(kid_cell->id);
-          if (name.ok() && *name == args[0].as_string()) return extlang::Value(true);
-        }
-        return extlang::Value(false);
+        return extlang::Value(
+            hierarchy_->declared_children(guard_ctx_->ref, guard_cell_).contains(
+                args[0].as_string()));
       });
   interp_.define_builtin(
       "jcf-show-window",
@@ -217,7 +209,7 @@ Result<jcf::UserRef> HybridFramework::add_designer(const std::string& name) {
   auto member = jcf_.is_member(team_, *user);
   if (member.ok() && *member) return user;
   if (auto st = jcf_.add_member(team_, *user); !st.ok()) {
-    return forward_error<jcf::UserRef>(st.error());
+    return st.error();
   }
   return user;
 }
@@ -232,7 +224,7 @@ Result<jcf::FlowRef> HybridFramework::define_flow(
   std::vector<jcf::ActivityRef> acts;
   for (const auto& act_name : activities) {
     auto act = jcf_.find_activity(act_name);
-    if (!act.ok()) return forward_error<jcf::FlowRef>(act.error());
+    if (!act.ok()) return act.error();
     acts.push_back(*act);
   }
   auto flow = jcf_.create_flow(name, acts);
@@ -240,14 +232,14 @@ Result<jcf::FlowRef> HybridFramework::define_flow(
   for (const auto& [before, after] : order) {
     auto b = jcf_.find_activity(before);
     auto a = jcf_.find_activity(after);
-    if (!b.ok()) return forward_error<jcf::FlowRef>(b.error());
-    if (!a.ok()) return forward_error<jcf::FlowRef>(a.error());
+    if (!b.ok()) return b.error();
+    if (!a.ok()) return a.error();
     if (auto st = jcf_.add_precedence(*flow, *b, *a); !st.ok()) {
-      return forward_error<jcf::FlowRef>(st.error());
+      return st.error();
     }
   }
   if (auto st = jcf_.freeze_flow(*flow); !st.ok()) {
-    return forward_error<jcf::FlowRef>(st.error());
+    return st.error();
   }
   return flow;
 }
@@ -266,9 +258,7 @@ Status HybridFramework::set_cell_flow(const std::string& project, const std::str
 }
 
 Result<jcf::ProjectRef> HybridFramework::create_project(const std::string& name) {
-  if (projects_.contains(name)) {
-    return Result<jcf::ProjectRef>::failure(Errc::already_exists, "project " + name);
-  }
+  if (projects_.contains(name)) return support::fail(Errc::already_exists, "project " + name);
   // A recovered store already holds the JCF project; re-attach a fresh
   // slave library to it (the FMCAD side lives in this instance's file
   // system and is rebuilt on demand, docs/persistence.md).
@@ -276,14 +266,14 @@ Result<jcf::ProjectRef> HybridFramework::create_project(const std::string& name)
   if (!project.ok()) project = jcf_.create_project(name, team_);
   if (!project.ok()) return project;
   auto library = fmcad::Library::create(&fs_, &clock_, root_path("fmcad"), name);
-  if (!library.ok()) return forward_error<jcf::ProjectRef>(library.error());
+  if (!library.ok()) return library.error();
   // Declare the standard views in the slave library (view name ==
   // viewtype name under the Table-1 mapping).
   fmcad::DesignerSession admin(*library, "jcf_admin");
   for (const auto& view : standard_views()) {
     auto tool = tools_.by_viewtype(view);
     if (auto st = admin.define_view(view, tool != nullptr ? tool->viewtype() : view); !st.ok()) {
-      return forward_error<jcf::ProjectRef>(st.error());
+      return st.error();
     }
   }
   ProjectCtx ctx;
@@ -381,60 +371,164 @@ Status HybridFramework::share_cell(const std::string& to_project,
 Result<std::unique_ptr<fmcad::ToolSession>> HybridFramework::open_viewer(
     const std::string& project, const std::string& cell, const std::string& view,
     jcf::UserRef user) {
-  using ViewerResult = Result<std::unique_ptr<fmcad::ToolSession>>;
   ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) return ViewerResult::failure(Errc::not_found, "project " + project);
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto uname = jcf_.name_of(user.id);
-  if (!uname.ok()) return ViewerResult::failure(uname.error().code, uname.error().message);
+  if (!uname.ok()) return uname.error();
   fmcad::ToolInterface* tool = tools_.by_viewtype(view);
-  if (tool == nullptr) {
-    return ViewerResult::failure(Errc::not_found, "no FMCAD tool for viewtype " + view);
-  }
+  if (tool == nullptr) return support::fail(Errc::not_found, "no FMCAD tool for viewtype " + view);
   // Browsing still pays the copy: the latest data leave OMS through the
   // transfer engine into the slave library before the window opens
   // (s3.6 applies to read-only access too).
   auto content = open_read_only(project, cell, view, user);
-  if (!content.ok()) return ViewerResult::failure(content.error().code, content.error().message);
+  if (!content.ok()) return content.error();
   fmcad::DesignerSession* session = session_for(*ctx, *uname);
   fmcad::CellViewKey key{cell, view};
-  const auto* record = ctx->library->meta().find_cellview(key);
-  if (record != nullptr) {
-    auto current = session->read_default(key);
-    if (!current.ok() || *current != *content) {
-      auto work = session->checkout(key);
-      if (!work.ok()) return ViewerResult::failure(work.error().code, work.error().message);
-      if (auto st = session->write_working(key, *content); !st.ok()) {
-        return ViewerResult::failure(st.error().code, st.error().message);
-      }
-      auto version = session->checkin(key);
-      if (!version.ok()) {
-        return ViewerResult::failure(version.error().code, version.error().message);
-      }
-    }
-  }
+  if (auto st = stage_default(*session, key, *content); !st.ok()) return st.error();
   auto viewer = std::make_unique<fmcad::ToolSession>(session, tool, &itc_, &interp_);
-  if (auto st = viewer->open(key, /*read_only=*/true); !st.ok()) {
-    return ViewerResult::failure(st.error().code, st.error().message);
-  }
+  if (auto st = viewer->open(key, /*read_only=*/true); !st.ok()) return st.error();
   return viewer;
 }
+
+Status HybridFramework::stage_default(fmcad::DesignerSession& session,
+                                      const fmcad::CellViewKey& key, const std::string& text) {
+  // A cellview without versions already agrees with empty text: the
+  // tool opens an empty document either way.
+  auto current = session.read_default(key);
+  const bool same = current.ok() ? *current == text
+                                 : text.empty() && current.error().code == Errc::not_found;
+  if (same) return {};
+  if (auto work = session.checkout(key); !work.ok()) return work.error();
+  auto st = session.write_working(key, text);
+  if (st.ok()) {
+    auto version = session.checkin(key);
+    if (version.ok()) return {};
+    st = version.error();
+  }
+  (void)session.cancel_checkout(key);  // best effort; a run's guard retries it
+  return st;
+}
+
+Result<std::string> HybridFramework::export_text(jcf::DovRef dov, jcf::UserRef user,
+                                                 const std::string& scratch_name) {
+  vfs::Path scratch = root_path("scratch").child(scratch_name);
+  if (auto st = transfer_->export_dov(dov, user, scratch); !st.ok()) return st.error();
+  auto text = fs_.read_file(scratch);
+  (void)fs_.remove(scratch);
+  return text;
+}
+
+// One activity run as a transaction (docs/fault-injection.md,
+// "Failure-atomic activities"). Created right after start_activity; it
+// also scopes the extension-language guard context. Unless commit() is
+// reached, destruction undoes the run so JCF (master) and FMCAD (slave)
+// agree again: the tool session is discarded, every FMCAD checkout the
+// run opened is cancelled, a target the tool already checked in is
+// re-staged from the variant's latest DOV, and the execution is
+// aborted.
+class HybridFramework::ActivityGuard {
+ public:
+  ActivityGuard(HybridFramework* hybrid, ProjectCtx* ctx, fmcad::DesignerSession* session,
+                fmcad::ToolSession* tool, jcf::VariantRef variant, jcf::UserRef user,
+                fmcad::CellViewKey target, ActivityRunReport* report)
+      : hybrid_(hybrid), session_(session), tool_(tool), variant_(variant), user_(user),
+        target_(std::move(target)), report_(report) {
+    // Checkouts this user already held are not the run's to cancel.
+    for (const auto& view : standard_views()) {
+      if (held({target_.cell, view})) held_before_.insert(view);
+    }
+    hybrid_->guard_ctx_ = ctx;
+    hybrid_->guard_cell_ = target_.cell;
+    hybrid_->guard_run_log_ = &report->consistency_windows;
+  }
+  ActivityGuard(const ActivityGuard&) = delete;
+  ActivityGuard& operator=(const ActivityGuard&) = delete;
+
+  ~ActivityGuard() {
+    hybrid_->guard_ctx_ = nullptr;
+    hybrid_->guard_run_log_ = nullptr;
+    if (committed_) return;
+    static auto& rollbacks =
+        telemetry::Registry::global().counter("coupling.activity.rollback.count");
+    rollbacks.add(1);
+    // Every undo step passes back through the fault hooks, so an undo
+    // may draw a fault itself; each attempt draws fresh ordinals and the
+    // steps are idempotent, so a bounded retry converges.
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      if (undo().ok()) return;
+    }
+  }
+
+  /// The FMCAD target := this variant's latest DOV, or empty text when
+  /// the variant has none. The slave library is shared by all variants,
+  /// so this seeds the tool and, after a failure, restores agreement.
+  Status stage_target() {
+    std::string text;
+    auto dobj = hybrid_->jcf_.find_design_object(variant_, target_.view);
+    if (dobj.ok()) {
+      if (auto dov = hybrid_->jcf_.latest_dov(*dobj); dov.ok()) {
+        auto exported = hybrid_->export_text(*dov, user_,
+                                             "seed_" + target_.cell + "_" + target_.view);
+        if (!exported.ok()) return exported.error();
+        text = std::move(*exported);
+      }
+    }
+    return hybrid_->stage_default(*session_, target_, text);
+  }
+
+  void commit() { committed_ = true; }
+
+ private:
+  bool held(const fmcad::CellViewKey& key) const {
+    const auto* record = session_->library().meta().find_cellview(key);
+    return record != nullptr && record->checkout && record->checkout->user == session_->user();
+  }
+
+  Status undo() {
+    if (session_->stale()) session_->refresh();
+    if (tool_->is_open()) {
+      if (auto st = tool_->discard(); !st.ok()) return st;
+    }
+    for (const auto& view : standard_views()) {
+      fmcad::CellViewKey key{target_.cell, view};
+      if (held_before_.contains(view) || !held(key)) continue;
+      if (auto st = session_->cancel_checkout(key); !st.ok()) return st;
+    }
+    // The tool's version reached FMCAD but not OMS.
+    if (report_->fmcad_version != 0) {
+      if (auto st = stage_target(); !st.ok()) return st;
+    }
+    auto state = hybrid_->jcf_.exec_state(report_->exec);
+    if (state.ok() && *state == jcf::ExecState::running) {
+      return hybrid_->jcf_.abort_activity(report_->exec);
+    }
+    return {};
+  }
+
+  HybridFramework* hybrid_;
+  fmcad::DesignerSession* session_;
+  fmcad::ToolSession* tool_;
+  jcf::VariantRef variant_;
+  jcf::UserRef user_;
+  fmcad::CellViewKey target_;
+  ActivityRunReport* report_;
+  std::set<std::string> held_before_;
+  bool committed_ = false;
+};
 
 Result<jcf::VariantRef> HybridFramework::work_variant(const std::string& project,
                                                       const std::string& cell) const {
   const ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) {
-    return Result<jcf::VariantRef>::failure(Errc::not_found, "project " + project);
-  }
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto jcf_cell = jcf_.find_cell(ctx->ref, cell);
-  if (!jcf_cell.ok()) return forward_error<jcf::VariantRef>(jcf_cell.error());
+  if (!jcf_cell.ok()) return jcf_cell.error();
   auto cv = jcf_.latest_cell_version(*jcf_cell);
-  if (!cv.ok()) return forward_error<jcf::VariantRef>(cv.error());
+  if (!cv.ok()) return cv.error();
   auto variant = jcf_.find_variant(*cv, "work");
   if (variant.ok()) return variant;
   auto all = jcf_.variants(*cv);
   if (!all.ok() || all->empty()) {
-    return Result<jcf::VariantRef>::failure(Errc::not_found,
-                                            "cell " + cell + " has no variants");
+    return support::fail(Errc::not_found, "cell " + cell + " has no variants");
   }
   return all->front();
 }
@@ -480,11 +574,9 @@ Result<ActivityRunReport> HybridFramework::run_activity(const std::string& proje
                                                         const std::vector<ToolCommand>& edits,
                                                         bool force) {
   ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) {
-    return Result<ActivityRunReport>::failure(Errc::not_found, "project " + project);
-  }
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto variant = work_variant(project, cell);
-  if (!variant.ok()) return forward_error<ActivityRunReport>(variant.error());
+  if (!variant.ok()) return variant.error();
   return run_activity_on(ctx, *variant, cell, activity_name, user, edits, force);
 }
 
@@ -493,23 +585,20 @@ Result<ActivityRunReport> HybridFramework::run_activity_in_variant(
     const std::string& activity_name, jcf::UserRef user, const std::vector<ToolCommand>& edits,
     bool force) {
   ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) {
-    return Result<ActivityRunReport>::failure(Errc::not_found, "project " + project);
-  }
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto jcf_cell = jcf_.find_cell(ctx->ref, cell);
-  if (!jcf_cell.ok()) return forward_error<ActivityRunReport>(jcf_cell.error());
+  if (!jcf_cell.ok()) return jcf_cell.error();
   auto cv = jcf_.latest_cell_version(*jcf_cell);
-  if (!cv.ok()) return forward_error<ActivityRunReport>(cv.error());
+  if (!cv.ok()) return cv.error();
   auto variant = jcf_.find_variant(*cv, variant_name);
-  if (!variant.ok()) return forward_error<ActivityRunReport>(variant.error());
+  if (!variant.ok()) return variant.error();
   return run_activity_on(ctx, *variant, cell, activity_name, user, edits, force);
 }
 
 Result<ActivityRunReport> HybridFramework::run_activity_on(
-    ProjectCtx* ctx, jcf::VariantRef variant_ref, const std::string& cell,
+    ProjectCtx* ctx, jcf::VariantRef variant, const std::string& cell,
     const std::string& activity_name, jcf::UserRef user, const std::vector<ToolCommand>& edits,
     bool force) {
-  using Report = Result<ActivityRunReport>;
   JFM_SPAN("coupling", "run_activity");
   const auto run_started = std::chrono::steady_clock::now();
   static auto& runs = telemetry::Registry::global().counter("coupling.activity.run.count");
@@ -527,25 +616,33 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     }
   } run_timer{run_started, &run_micros};
   auto uname = jcf_.name_of(user.id);
-  if (!uname.ok()) return forward_error<ActivityRunReport>(uname.error());
+  if (!uname.ok()) return uname.error();
   auto act = jcf_.find_activity(activity_name);
-  if (!act.ok()) return forward_error<ActivityRunReport>(act.error());
-  // keep the existing body's vocabulary
-  Result<jcf::VariantRef> variant(variant_ref);
+  if (!act.ok()) return act.error();
+  auto creates = jcf_.activity_creates(*act);
+  if (!creates.ok() || creates->empty()) {
+    return support::fail(Errc::internal, "activity creates no viewtype");
+  }
+  auto target_view = jcf_.name_of(creates->front().id);
+  if (!target_view.ok()) return target_view.error();
+  fmcad::ToolInterface* tool = tools_.by_viewtype(*target_view);
+  if (tool == nullptr) {
+    return support::fail(Errc::not_found, "no FMCAD tool for viewtype " + *target_view);
+  }
 
   ActivityRunReport report;
 
   // Forced execution shows the s2.4 consistency window instead of a
   // hard flow stop.
   if (force) {
-    auto cv = jcf_.cell_version_of(*variant);
+    auto cv = jcf_.cell_version_of(variant);
     if (cv.ok()) {
       auto flow = jcf_.effective_flow(*cv);
       if (flow.ok()) {
         auto preds = jcf_.predecessors(*flow, *act);
         if (preds.ok()) {
           for (auto pred : *preds) {
-            auto progress = jcf_.activity_progress(*variant, pred);
+            auto progress = jcf_.activity_progress(variant, pred);
             if (progress.ok() && *progress != jcf::ActivityProgress::done) {
               auto pname = jcf_.name_of(pred.id);
               show_window("activity " + activity_name + " started although predecessor " +
@@ -558,57 +655,29 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     }
   }
 
-  auto exec = jcf_.start_activity(*variant, *act, user, force);
-  if (!exec.ok()) return forward_error<ActivityRunReport>(exec.error());
+  auto exec = jcf_.start_activity(variant, *act, user, force);
+  if (!exec.ok()) return exec.error();
   report.exec = *exec;
-
+  fmcad::DesignerSession* session = session_for(*ctx, *uname);
+  const fmcad::CellViewKey target{cell, *target_view};
+  fmcad::ToolSession tool_session(session, tool, &itc_, &interp_);
+  // From here on every return other than the last undoes the run.
+  ActivityGuard guard(this, ctx, session, &tool_session, variant, user, target, &report);
   const auto transfer_before = transfer_->stats_snapshot();
 
   // ---- copy required data from OMS into the slave library -----------------
-  fmcad::DesignerSession* session = session_for(*ctx, *uname);
   auto inputs = jcf_.exec_inputs(*exec);
-  if (!inputs.ok()) return forward_error<ActivityRunReport>(inputs.error());
+  if (!inputs.ok()) return inputs.error();
   for (auto input : *inputs) {
     auto dobj = jcf_.design_object_of(input);
-    if (!dobj.ok()) return forward_error<ActivityRunReport>(dobj.error());
+    if (!dobj.ok()) return dobj.error();
     auto view_name = jcf_.name_of(dobj->id);
-    if (!view_name.ok()) return forward_error<ActivityRunReport>(view_name.error());
-    fmcad::CellViewKey key{cell, *view_name};
-    vfs::Path scratch = root_path("scratch").child("in_" + cell + "_" + *view_name);
-    if (auto st = transfer_->export_dov(input, user, scratch); !st.ok()) {
-      (void)jcf_.abort_activity(*exec);
-      return forward_error<ActivityRunReport>(st.error());
+    if (!view_name.ok()) return view_name.error();
+    auto staged = export_text(input, user, "in_" + cell + "_" + *view_name);
+    if (!staged.ok()) return staged.error();
+    if (auto st = stage_default(*session, {cell, *view_name}, *staged); !st.ok()) {
+      return st.error();
     }
-    auto staged = fs_.read_file(scratch);
-    (void)fs_.remove(scratch);
-    if (!staged.ok()) return forward_error<ActivityRunReport>(staged.error());
-    auto current = session->read_default(key);
-    if (!current.ok() || *current != *staged) {
-      auto work = session->checkout(key);
-      if (!work.ok()) {
-        (void)jcf_.abort_activity(*exec);
-        return forward_error<ActivityRunReport>(work.error());
-      }
-      if (auto st = session->write_working(key, *staged); !st.ok()) {
-        return forward_error<ActivityRunReport>(st.error());
-      }
-      auto version = session->checkin(key);
-      if (!version.ok()) return forward_error<ActivityRunReport>(version.error());
-    }
-  }
-
-  // ---- open the encapsulated tool on the target cellview ------------------
-  auto creates = jcf_.activity_creates(*act);
-  if (!creates.ok() || creates->empty()) {
-    (void)jcf_.abort_activity(*exec);
-    return Report::failure(Errc::internal, "activity creates no viewtype");
-  }
-  auto target_view = jcf_.name_of(creates->front().id);
-  if (!target_view.ok()) return forward_error<ActivityRunReport>(target_view.error());
-  fmcad::ToolInterface* tool = tools_.by_viewtype(*target_view);
-  if (tool == nullptr) {
-    (void)jcf_.abort_activity(*exec);
-    return Report::failure(Errc::not_found, "no FMCAD tool for viewtype " + *target_view);
   }
   if (tool == sim_tool_.get()) {
     // The simulator reads its design data out of the master's database.
@@ -616,63 +685,13 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
   }
 
   // ---- seed the target cellview from THIS variant's state -----------------
-  // The slave library is shared by all variants; whatever ran last left
-  // its data there. JCF is the master: the tool must start from the
-  // variant's own latest design object version (or from emptiness if
-  // the variant has none yet).
-  {
-    fmcad::CellViewKey target_key{cell, *target_view};
-    std::string desired;  // "" = no data in this variant yet
-    auto dobj = jcf_.find_design_object(*variant, *target_view);
-    if (dobj.ok()) {
-      auto dov = jcf_.latest_dov(*dobj);
-      if (dov.ok()) {
-        vfs::Path scratch = root_path("scratch").child("seed_" + cell + "_" + *target_view);
-        if (auto st = transfer_->export_dov(*dov, user, scratch); !st.ok()) {
-          (void)jcf_.abort_activity(*exec);
-          return forward_error<ActivityRunReport>(st.error());
-        }
-        auto staged = fs_.read_file(scratch);
-        (void)fs_.remove(scratch);
-        if (!staged.ok()) return forward_error<ActivityRunReport>(staged.error());
-        desired = std::move(*staged);
-      }
-    }
-    auto current = session->read_default(target_key);
-    const std::string current_text = current.ok() ? *current : std::string();
-    if (current_text != desired) {
-      auto work = session->checkout(target_key);
-      if (!work.ok()) {
-        (void)jcf_.abort_activity(*exec);
-        return forward_error<ActivityRunReport>(work.error());
-      }
-      if (auto st = session->write_working(target_key, desired); !st.ok()) {
-        return forward_error<ActivityRunReport>(st.error());
-      }
-      auto version = session->checkin(target_key);
-      if (!version.ok()) return forward_error<ActivityRunReport>(version.error());
-    }
-  }
+  // Whatever ran last left its data in the shared slave library; JCF is
+  // the master, so the tool starts from this variant's own latest
+  // design object version (or from emptiness if it has none yet).
+  if (auto st = guard.stage_target(); !st.ok()) return st.error();
 
-  fmcad::ToolSession tool_session(session, tool, &itc_, &interp_);
-  // Guard context for the extension-language procedures.
-  guard_ctx_ = ctx;
-  guard_cell_ = cell;
-  guard_view_ = *target_view;
-  guard_run_log_ = &report.consistency_windows;
-  struct GuardReset {
-    HybridFramework* self;
-    ~GuardReset() {
-      self->guard_ctx_ = nullptr;
-      self->guard_run_log_ = nullptr;
-    }
-  } guard_reset{this};
-
-  fmcad::CellViewKey target{cell, *target_view};
-  if (auto st = tool_session.open(target, /*read_only=*/false); !st.ok()) {
-    (void)jcf_.abort_activity(*exec);
-    return forward_error<ActivityRunReport>(st.error());
-  }
+  // ---- open the encapsulated tool and replay the edits ---------------------
+  if (auto st = tool_session.open(target, /*read_only=*/false); !st.ok()) return st.error();
   // Lock the menu points whose effects JCF could not track (s2.4).
   (void)tool_session.set_menu_enabled("Hierarchy", "Remove Instance",
                                       config_.procedural_hierarchy_interface);
@@ -690,118 +709,41 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     } else {
       st = tool_session.edit(edit.command, edit.args);
     }
-    if (!st.ok()) {
-      (void)tool_session.discard();
-      (void)jcf_.abort_activity(*exec);
-      return forward_error<ActivityRunReport>(st.error());
-    }
+    if (!st.ok()) return st.error();
   }
 
   // ---- hierarchy consistency before the data leave the tool ---------------
   // Only structural views carry hierarchy; the simulator's uses-list is
   // a DUT *reference*, not a CompOf relation.
-  const bool structural = tool != sim_tool_.get();
-  if (structural) {
-    std::set<std::string> doc_children;
-    for (const auto& use : tool_session.document().uses) doc_children.insert(use.cell);
-    auto undeclared = [&]() {
-      std::vector<std::string> missing;
-      auto jcf_cell = jcf_.find_cell(ctx->ref, cell);
-      if (!jcf_cell.ok()) return missing;
-      auto cv = jcf_.latest_cell_version(*jcf_cell);
-      if (!cv.ok()) return missing;
-      auto kids = jcf_.children(*cv);
-      std::set<std::string> declared;
-      if (kids.ok()) {
-        for (auto kid : *kids) {
-          auto kid_cell = jcf_.cell_of(kid);
-          if (!kid_cell.ok()) continue;
-          auto name = jcf_.name_of(kid_cell->id);
-          if (name.ok()) declared.insert(*name);
-        }
-      }
-      for (const auto& child : doc_children) {
-        if (!declared.contains(child)) missing.push_back(child);
-      }
-      return missing;
-    }();
-    if (!undeclared.empty()) {
-      if (config_.procedural_hierarchy_interface) {
-        auto st = hierarchy_->submit_children(ctx->ref, cell, undeclared);
-        if (!st.ok()) {
-          (void)tool_session.discard();
-          (void)jcf_.abort_activity(*exec);
-          return forward_error<ActivityRunReport>(st.error());
-        }
-      } else {
-        show_window("hierarchy of " + cell + "/" + *target_view +
-                        " uses undeclared children; submit them via the JCF desktop first",
-                    &report.consistency_windows);
-        (void)tool_session.discard();
-        (void)jcf_.abort_activity(*exec);
-        return Report::failure(Errc::consistency_violation,
-                               "undeclared hierarchy children: " +
-                                   support::join(undeclared, ", "));
-      }
-    }
-
-    // Non-isomorphic check against the *other* views of this cell that
-    // already contain instances (JCF 3.0 limitation, s3.3).
-    if (!config_.allow_non_isomorphic && !doc_children.empty()) {
-      for (const auto& other_view : standard_views()) {
-        if (other_view == *target_view || other_view == "simulate") continue;
-        fmcad::CellViewKey other_key{cell, other_view};
-        const auto* record = ctx->library->meta().find_cellview(other_key);
-        if (record == nullptr || record->default_version() == nullptr) continue;
-        auto text = fs_.read_file(
-            ctx->library->cellview_dir(other_key).child(record->default_version()->file));
-        if (!text.ok()) continue;
-        auto file = fmcad::DesignFile::parse(*text);
-        if (!file.ok()) continue;
-        std::set<std::string> other_children;
-        for (const auto& use : file->uses) other_children.insert(use.cell);
-        if (other_children.empty()) continue;  // hierarchy not entered yet
-        if (other_children != doc_children) {
-          show_window("non-isomorphic hierarchies between " + *target_view + " and " +
-                          other_view + " of " + cell + " (not supported by JCF 3.0)",
-                      &report.consistency_windows);
-          (void)tool_session.discard();
-          (void)jcf_.abort_activity(*exec);
-          return Report::failure(Errc::not_supported,
-                                 "non-isomorphic hierarchies are not supported");
-        }
-      }
+  if (tool != sim_tool_.get()) {
+    if (auto st = hierarchy_->admit(*ctx->library, ctx->ref, tool_session.document(),
+                                    structural_views());
+        !st.ok()) {
+      show_window(st.error().message, &report.consistency_windows);
+      return st.error();
     }
   }
 
   // ---- save, check in, copy the result back into OMS ----------------------
   auto version = tool_session.checkin();
-  if (!version.ok()) {
-    (void)tool_session.discard();
-    (void)jcf_.abort_activity(*exec);
-    return forward_error<ActivityRunReport>(version.error());
-  }
+  if (!version.ok()) return version.error();
   report.fmcad_version = *version;
 
   const auto* record = ctx->library->meta().find_cellview(target);
   const auto* vinfo = record != nullptr ? record->version(*version) : nullptr;
-  if (vinfo == nullptr) {
-    return Report::failure(Errc::internal, "checked-in version vanished");
-  }
-  auto dobj = jcf_.find_design_object(*variant, *target_view);
+  if (vinfo == nullptr) return support::fail(Errc::internal, "checked-in version vanished");
+  auto dobj = jcf_.find_design_object(variant, *target_view);
   if (!dobj.ok()) {
-    auto created = jcf_.create_design_object(*variant, *target_view, creates->front(), user);
-    if (!created.ok()) return forward_error<ActivityRunReport>(created.error());
-    dobj = created;
+    dobj = jcf_.create_design_object(variant, *target_view, creates->front(), user);
+    if (!dobj.ok()) return dobj.error();
   }
   auto dov = transfer_->import_file(ctx->library->cellview_dir(target).child(vinfo->file),
                                     *dobj, user);
-  if (!dov.ok()) return forward_error<ActivityRunReport>(dov.error());
+  if (!dov.ok()) return dov.error();
   report.output = *dov;
 
-  if (auto st = jcf_.complete_activity(*exec, {*dov}); !st.ok()) {
-    return forward_error<ActivityRunReport>(st.error());
-  }
+  if (auto st = jcf_.complete_activity(*exec, {*dov}); !st.ok()) return st.error();
+  guard.commit();
 
   const auto transfer_after = transfer_->stats_snapshot();
   report.bytes_exported = transfer_after.bytes_exported - transfer_before.bytes_exported;
@@ -813,17 +755,17 @@ Result<std::string> HybridFramework::open_read_only(const std::string& project,
                                                     const std::string& cell,
                                                     const std::string& view, jcf::UserRef user) {
   auto variant = work_variant(project, cell);
-  if (!variant.ok()) return forward_error<std::string>(variant.error());
+  if (!variant.ok()) return variant.error();
   auto dobj = jcf_.find_design_object(*variant, view);
-  if (!dobj.ok()) return forward_error<std::string>(dobj.error());
+  if (!dobj.ok()) return dobj.error();
   auto dov = jcf_.latest_dov(*dobj);
-  if (!dov.ok()) return forward_error<std::string>(dov.error());
+  if (!dov.ok()) return dov.error();
   JFM_SPAN("coupling", "open_read_only");
   // Even a read-only access copies the data out of the database and
   // through the file system (s3.6).
   vfs::Path scratch = root_path("scratch").child("ro_" + cell + "_" + view);
   if (auto st = transfer_->export_dov(*dov, user, scratch); !st.ok()) {
-    return forward_error<std::string>(st.error());
+    return st.error();
   }
   auto content = fs_.read_file(scratch);
   // With the cache on, the materialized file IS the cache body for the
@@ -856,13 +798,12 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
     const std::string& project, const std::string& root_cell, jcf::UserRef user,
     const vfs::Path& dst_dir, std::size_t workers, std::uint64_t timeout_us,
     bool allow_incremental) {
-  using Report = Result<CheckoutReport>;
   JFM_SPAN("coupling", "checkout_hierarchy");
   const ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) return Report::failure(Errc::not_found, "project " + project);
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto root = jcf_.find_cell(ctx->ref, root_cell);
-  if (!root.ok()) return forward_error<CheckoutReport>(root.error());
-  if (auto st = fs_.mkdirs(dst_dir); !st.ok()) return forward_error<CheckoutReport>(st.error());
+  if (!root.ok()) return root.error();
+  if (auto st = fs_.mkdirs(dst_dir); !st.ok()) return st.error();
 
   // Snapshot both epochs BEFORE enumerating anything: a mutation that
   // slips in after the snapshot is re-examined by the next sync (the
@@ -1067,7 +1008,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
     if (workers <= 1) {
       for (std::size_t i = 0; i < requests.size(); ++i) {
         if (auto st = capture(requests[i], slots[i]); !st.ok()) {
-          return forward_error<CheckoutReport>(st.error());
+          return st.error();
         }
       }
     } else {
@@ -1086,7 +1027,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
               }
             }
           });
-      if (first_error) return forward_error<CheckoutReport>(*first_error);
+      if (first_error) return *first_error;
     }
     journal.reserve(slots.size());
     for (auto& slot : slots) {
@@ -1139,9 +1080,9 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
         if (st.ok()) break;
       }
       if (!st.ok()) {
-        return Report::failure(Errc::internal,
-                               "checkout rollback could not restore " + it->path.str() + ": " +
-                                   st.error().to_text());
+        return support::fail(Errc::internal,
+                             "checkout rollback could not restore " + it->path.str() + ": " +
+                                 st.error().to_text());
       }
       ++report.restored;
       restored_files.add(1);
@@ -1176,17 +1117,17 @@ Result<tools::LvsReport> HybridFramework::run_lvs(const std::string& project,
     return open_read_only(project, cell, view, user);
   };
   auto sch_text = read_view("schematic");
-  if (!sch_text.ok()) return forward_error<tools::LvsReport>(sch_text.error());
+  if (!sch_text.ok()) return sch_text.error();
   auto lay_text = read_view("layout");
-  if (!lay_text.ok()) return forward_error<tools::LvsReport>(lay_text.error());
+  if (!lay_text.ok()) return lay_text.error();
   auto sch_file = fmcad::DesignFile::parse(*sch_text);
-  if (!sch_file.ok()) return forward_error<tools::LvsReport>(sch_file.error());
+  if (!sch_file.ok()) return sch_file.error();
   auto lay_file = fmcad::DesignFile::parse(*lay_text);
-  if (!lay_file.ok()) return forward_error<tools::LvsReport>(lay_file.error());
+  if (!lay_file.ok()) return lay_file.error();
   auto schematic = tools::Schematic::parse(sch_file->payload);
-  if (!schematic.ok()) return forward_error<tools::LvsReport>(schematic.error());
+  if (!schematic.ok()) return schematic.error();
   auto layout = tools::Layout::parse(lay_file->payload);
-  if (!layout.ok()) return forward_error<tools::LvsReport>(layout.error());
+  if (!layout.ok()) return layout.error();
   return tools::lvs_compare(*schematic, *layout);
 }
 
@@ -1195,14 +1136,12 @@ Result<tools::TimingReport> HybridFramework::report_timing(const std::string& pr
                                                            jcf::UserRef user,
                                                            std::string* path_text) {
   const ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) {
-    return Result<tools::TimingReport>::failure(Errc::not_found, "project " + project);
-  }
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   auto resolver = make_jcf_resolver(&jcf_, ctx->ref, user);
   auto top = resolver({cell, "schematic"});
-  if (!top.ok()) return forward_error<tools::TimingReport>(top.error());
+  if (!top.ok()) return top.error();
   auto circuit = tools::elaborate(*top, cell, resolver);
-  if (!circuit.ok()) return forward_error<tools::TimingReport>(circuit.error());
+  if (!circuit.ok()) return circuit.error();
   auto report = tools::analyze_timing(*circuit);
   if (report.ok() && path_text != nullptr) *path_text = report->describe(*circuit);
   return report;
@@ -1211,10 +1150,10 @@ Result<tools::TimingReport> HybridFramework::report_timing(const std::string& pr
 Result<std::vector<std::string>> HybridFramework::derivation_report(const std::string& project,
                                                                     const std::string& cell) {
   auto variant = work_variant(project, cell);
-  if (!variant.ok()) return forward_error<std::vector<std::string>>(variant.error());
+  if (!variant.ok()) return variant.error();
   std::vector<std::string> rows;
   auto dobjs = jcf_.design_objects(*variant);
-  if (!dobjs.ok()) return forward_error<std::vector<std::string>>(dobjs.error());
+  if (!dobjs.ok()) return dobjs.error();
   for (auto dobj : *dobjs) {
     auto dname = jcf_.name_of(dobj.id);
     if (!dname.ok()) continue;
@@ -1241,9 +1180,7 @@ Result<std::vector<std::string>> HybridFramework::derivation_report(const std::s
 
 Result<std::vector<std::string>> HybridFramework::check_consistency(const std::string& project) {
   const ProjectCtx* ctx = project_ctx(project);
-  if (ctx == nullptr) {
-    return Result<std::vector<std::string>>::failure(Errc::not_found, "project " + project);
-  }
+  if (ctx == nullptr) return support::fail(Errc::not_found, "project " + project);
   return jcf_.check_consistency(ctx->ref);
 }
 

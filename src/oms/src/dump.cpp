@@ -39,14 +39,11 @@ Result<AttrValue> value_from_text(AttrType type, const std::string& text) {
       return AttrValue(v);
     }
     case AttrType::real: {
-      try {
-        std::size_t pos = 0;
-        double v = std::stod(text, &pos);
-        if (pos != text.size()) throw std::invalid_argument(text);
-        return AttrValue(v);
-      } catch (const std::exception&) {
+      double v = 0;
+      if (!support::parse_real(text, v)) {
         return Result<AttrValue>::failure(Errc::parse_error, "bad real '" + text + "'");
       }
+      return AttrValue(v);
     }
     case AttrType::boolean:
       if (text == "true") return AttrValue(true);

@@ -40,6 +40,7 @@
 namespace jfm::oms {
 
 using support::Errc;
+using support::parse_integer;
 using support::Result;
 using support::Status;
 
@@ -61,11 +62,6 @@ std::string hex64(std::uint64_t v) {
   }
   buf[16] = '\0';
   return std::string(buf, 16);
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && p == text.data() + text.size();
 }
 
 bool parse_hex64(std::string_view text, std::uint64_t& out) {
@@ -339,7 +335,7 @@ Status Store::write_snapshot_locked() {
   if (auto listed = journal_fs_->list(snap_root()); listed.ok()) {
     for (const auto& name : *listed) {
       std::uint64_t n = 0;
-      if (!parse_u64(name, n) || n != seq) {
+      if (!parse_integer(name, n) || n != seq) {
         (void)journal_fs_->remove(snap_root().child(name), /*recursive=*/true);
       }
     }
@@ -413,22 +409,22 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
     auto fields = support::split_ws(line);
     const std::string& kind = fields[0];
     if (kind == "seq") {
-      if (fields.size() != 2 || !parse_u64(fields[1], manifest_seq) || manifest_seq != seq) {
+      if (fields.size() != 2 || !parse_integer(fields[1], manifest_seq) || manifest_seq != seq) {
         return corrupt("bad seq line");
       }
     } else if (kind == "epoch") {
-      if (fields.size() != 2 || !parse_u64(fields[1], manifest_epoch)) {
+      if (fields.size() != 2 || !parse_integer(fields[1], manifest_epoch)) {
         return corrupt("bad epoch line");
       }
     } else if (kind == "ids") {
-      if (fields.size() != 2 || !parse_u64(fields[1], manifest_ids)) {
+      if (fields.size() != 2 || !parse_integer(fields[1], manifest_ids)) {
         return corrupt("bad ids line");
       }
     } else if (kind == "object") {
       if (fields.size() != 5) return corrupt("bad object line");
       std::uint64_t raw = 0, created = 0, modified = 0;
-      if (!parse_u64(fields[1], raw) || !parse_u64(fields[3], created) ||
-          !parse_u64(fields[4], modified)) {
+      if (!parse_integer(fields[1], raw) || !parse_integer(fields[3], created) ||
+          !parse_integer(fields[4], modified)) {
         return corrupt("bad object line");
       }
       if (schema_.find_class(fields[2]) == nullptr) {
@@ -447,7 +443,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
     } else if (kind == "attr") {
       if (fields.size() != 5) return corrupt("bad attr line");
       std::uint64_t raw = 0;
-      if (!parse_u64(fields[1], raw)) return corrupt("bad attr line");
+      if (!parse_integer(fields[1], raw)) return corrupt("bad attr line");
       auto oit = objects_.find(ObjectId(raw));
       if (oit == objects_.end()) return corrupt("attr before object");
       const AttributeDef* def = schema_.find_attribute(oit->second.class_name, fields[2]);
@@ -455,20 +451,12 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
       StoredValue stored;
       if (fields[3] == "int" && def->type == AttrType::integer) {
         std::int64_t v = 0;
-        auto [p, ec] = std::from_chars(fields[4].data(), fields[4].data() + fields[4].size(), v);
-        if (ec != std::errc{} || p != fields[4].data() + fields[4].size()) {
-          return corrupt("bad integer value");
-        }
+        if (!parse_integer(fields[4], v)) return corrupt("bad integer value");
         stored = StoredValue(v);
       } else if (fields[3] == "real" && def->type == AttrType::real) {
-        try {
-          std::size_t pos = 0;
-          double v = std::stod(fields[4], &pos);
-          if (pos != fields[4].size()) return corrupt("bad real value");
-          stored = StoredValue(v);
-        } catch (const std::exception&) {
-          return corrupt("bad real value");
-        }
+        double v = 0;
+        if (!support::parse_real(fields[4], v)) return corrupt("bad real value");
+        stored = StoredValue(v);
       } else if (fields[3] == "bool" && def->type == AttrType::boolean) {
         if (fields[4] != "true" && fields[4] != "false") return corrupt("bad bool value");
         stored = StoredValue(fields[4] == "true");
@@ -480,8 +468,8 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
     } else if (kind == "text") {
       if (fields.size() != 5) return corrupt("bad text line");
       std::uint64_t raw = 0, hash = 0, size = 0;
-      if (!parse_u64(fields[1], raw) || !parse_hex64(fields[3], hash) ||
-          !parse_u64(fields[4], size)) {
+      if (!parse_integer(fields[1], raw) || !parse_hex64(fields[3], hash) ||
+          !parse_integer(fields[4], size)) {
         return corrupt("bad text line");
       }
       auto oit = objects_.find(ObjectId(raw));
@@ -520,12 +508,12 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
       auto rit = relations_.find(fields[1]);
       if (rit == relations_.end()) return corrupt("unknown relation " + fields[1]);
       std::uint64_t key = 0;
-      if (!parse_u64(fields[2], key)) return corrupt("bad adjacency line");
+      if (!parse_integer(fields[2], key)) return corrupt("bad adjacency line");
       std::vector<ObjectId> peers;
       peers.reserve(fields.size() - 3);
       for (std::size_t i = 3; i < fields.size(); ++i) {
         std::uint64_t peer = 0;
-        if (!parse_u64(fields[i], peer)) return corrupt("bad adjacency line");
+        if (!parse_integer(fields[i], peer)) return corrupt("bad adjacency line");
         if (!objects_.contains(ObjectId(peer))) return corrupt("adjacency to missing object");
       peers.push_back(ObjectId(peer));
       }
@@ -680,7 +668,7 @@ Status Store::open(vfs::FileSystem& fs, const vfs::Path& dir) {
   if (auto listed = fs.list(dir.child("snap")); listed.ok()) {
     for (const auto& name : *listed) {
       std::uint64_t n = 0;
-      if (parse_u64(name, n)) snaps.push_back(n);
+      if (parse_integer(name, n)) snaps.push_back(n);
     }
   }
   std::sort(snaps.rbegin(), snaps.rend());

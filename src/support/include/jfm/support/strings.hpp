@@ -40,6 +40,16 @@ bool parse_integer(std::string_view text, Int& out) {
   return !text.empty() && ec == std::errc() && p == end;
 }
 
+/// Parse all of `text` as a decimal floating-point number (the general
+/// format the persistence writers emit, "inf" and "nan" included).
+/// Like parse_integer, false on an empty field, trailing junk or a value
+/// outside double's range; never throws.
+inline bool parse_real(std::string_view text, double& out) {
+  const char* end = text.data() + text.size();
+  auto [p, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc() && p == end;
+}
+
 /// Escape/unescape for the line-oriented .meta and OMS export formats:
 /// '\\' -> "\\\\", '\n' -> "\\n", '\t' -> "\\t".
 std::string escape(std::string_view text);

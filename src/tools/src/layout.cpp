@@ -39,35 +39,35 @@ Result<Layout> Layout::parse(const std::string& payload) {
     std::string_view line = support::trim(raw);
     if (line.empty() || line[0] == '#') continue;
     auto f = support::split_ws(line);
-    try {
-      if (f[0] == "layer" && f.size() == 2) {
-        out.layers.push_back(f[1]);
-      } else if (f[0] == "rect" && (f.size() == 6 || f.size() == 7)) {
-        Rect r;
-        r.layer = f[1];
-        r.x1 = std::stoll(f[2]);
-        r.y1 = std::stoll(f[3]);
-        r.x2 = std::stoll(f[4]);
-        r.y2 = std::stoll(f[5]);
-        if (f.size() == 7) r.net = f[6];
-        if (r.x1 > r.x2) std::swap(r.x1, r.x2);
-        if (r.y1 > r.y2) std::swap(r.y1, r.y2);
-        out.rects.push_back(std::move(r));
-      } else if (f[0] == "place" && f.size() == 6) {
-        Placement p;
-        p.name = f[1];
-        p.master_cell = f[2];
-        p.master_view = f[3];
-        p.x = std::stoll(f[4]);
-        p.y = std::stoll(f[5]);
-        out.placements.push_back(std::move(p));
-      } else {
-        return Result<Layout>::failure(Errc::parse_error,
-                                       "layout: bad record '" + std::string(line) + "'");
-      }
-    } catch (const std::exception&) {
+    auto bad_number = [&] {
       return Result<Layout>::failure(Errc::parse_error,
                                      "layout: bad number in '" + std::string(line) + "'");
+    };
+    if (f[0] == "layer" && f.size() == 2) {
+      out.layers.push_back(f[1]);
+    } else if (f[0] == "rect" && (f.size() == 6 || f.size() == 7)) {
+      Rect r;
+      r.layer = f[1];
+      if (!support::parse_integer(f[2], r.x1) || !support::parse_integer(f[3], r.y1) ||
+          !support::parse_integer(f[4], r.x2) || !support::parse_integer(f[5], r.y2)) {
+        return bad_number();
+      }
+      if (f.size() == 7) r.net = f[6];
+      if (r.x1 > r.x2) std::swap(r.x1, r.x2);
+      if (r.y1 > r.y2) std::swap(r.y1, r.y2);
+      out.rects.push_back(std::move(r));
+    } else if (f[0] == "place" && f.size() == 6) {
+      Placement p;
+      p.name = f[1];
+      p.master_cell = f[2];
+      p.master_view = f[3];
+      if (!support::parse_integer(f[4], p.x) || !support::parse_integer(f[5], p.y)) {
+        return bad_number();
+      }
+      out.placements.push_back(std::move(p));
+    } else {
+      return Result<Layout>::failure(Errc::parse_error,
+                                     "layout: bad record '" + std::string(line) + "'");
     }
   }
   return out;

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <set>
 
+#include "jfm/support/strings.hpp"
+
 namespace jfm::tools {
 
 using fmcad::DesignFile;
 using support::Errc;
+using support::parse_integer;
 using support::Result;
 using support::Status;
 
@@ -41,14 +44,6 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
   auto fail = [](Errc code, std::string msg) {
     return Result<DesignFile>::failure(code, std::move(msg));
   };
-  auto parse_int = [](const std::string& text, std::int64_t& out) {
-    try {
-      out = std::stoll(text);
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
   auto parsed = Layout::parse(doc.payload);
   if (!parsed.ok()) return fail(parsed.error().code, parsed.error().message);
   Layout layout = std::move(*parsed);
@@ -64,8 +59,8 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
     if (!layout.has_layer(args[0])) return fail(Errc::not_found, "layer " + args[0]);
     Rect r;
     r.layer = args[0];
-    if (!parse_int(args[1], r.x1) || !parse_int(args[2], r.y1) || !parse_int(args[3], r.x2) ||
-        !parse_int(args[4], r.y2)) {
+    if (!parse_integer(args[1], r.x1) || !parse_integer(args[2], r.y1) ||
+        !parse_integer(args[3], r.x2) || !parse_integer(args[4], r.y2)) {
       return fail(Errc::invalid_argument, "draw-rect: bad coordinate");
     }
     if (r.x1 > r.x2) std::swap(r.x1, r.x2);
@@ -78,7 +73,8 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
   } else if (command == "move-rect") {
     if (args.size() != 3) return fail(Errc::invalid_argument, "move-rect <index> <dx> <dy>");
     std::int64_t index = 0, dx = 0, dy = 0;
-    if (!parse_int(args[0], index) || !parse_int(args[1], dx) || !parse_int(args[2], dy)) {
+    if (!parse_integer(args[0], index) || !parse_integer(args[1], dx) ||
+        !parse_integer(args[2], dy)) {
       return fail(Errc::invalid_argument, "move-rect: bad number");
     }
     if (index < 0 || static_cast<std::size_t>(index) >= layout.rects.size()) {
@@ -92,7 +88,7 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
   } else if (command == "delete-rect") {
     if (args.size() != 1) return fail(Errc::invalid_argument, "delete-rect <index>");
     std::int64_t index = 0;
-    if (!parse_int(args[0], index) || index < 0 ||
+    if (!parse_integer(args[0], index) || index < 0 ||
         static_cast<std::size_t>(index) >= layout.rects.size()) {
       return fail(Errc::not_found, "rect #" + args[0]);
     }
@@ -112,7 +108,7 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
     p.name = args[0];
     p.master_cell = args[1];
     p.master_view = args[2];
-    if (!parse_int(args[3], p.x) || !parse_int(args[4], p.y)) {
+    if (!parse_integer(args[3], p.x) || !parse_integer(args[4], p.y)) {
       return fail(Errc::invalid_argument, "add-instance: bad coordinate");
     }
     layout.placements.push_back(std::move(p));
@@ -127,7 +123,7 @@ Result<DesignFile> LayoutTool::apply(const DesignFile& doc, const std::string& c
     // violated, so a flow can force a clean DRC before checkin.
     if (args.size() != 1) return fail(Errc::invalid_argument, "check-drc <min_space>");
     std::int64_t min_space = 0;
-    if (!parse_int(args[0], min_space) || min_space <= 0) {
+    if (!parse_integer(args[0], min_space) || min_space <= 0) {
       return fail(Errc::invalid_argument, "check-drc: bad spacing rule");
     }
     auto violations = layout.drc_spacing(min_space);

@@ -54,6 +54,16 @@ class HierarchySyncTest : public ::testing::Test {
     ASSERT_TRUE(session->checkin(key).ok());
   }
 
+  /// The default version of (cell, view) as the document a tool would
+  /// hand to the save-time rules.
+  fmcad::DesignFile doc(const std::string& cell, const std::string& view) {
+    auto text = session->read_default({cell, view});
+    EXPECT_TRUE(text.ok());
+    auto file = fmcad::DesignFile::parse(text.ok() ? *text : std::string());
+    EXPECT_TRUE(file.ok());
+    return file.ok() ? *file : fmcad::DesignFile{};
+  }
+
   jcf::CellVersionRef register_cell(const std::string& name) {
     auto cell = *jcf.create_cell(project, name, flow, team);
     return *jcf.create_cell_version(cell, user);
@@ -124,14 +134,13 @@ TEST_F(HierarchySyncTest, UndeclaredChildrenQuery) {
   auto a_cv = register_cell("a");
   register_cell("b");
   HierarchySubmitter submitter(&jcf, false, false);
-  auto missing = submitter.undeclared_children(*library, {"top", "schematic"}, project);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing->size(), 2u);
+  auto missing = submitter.undeclared_children(project, doc("top", "schematic"));
+  EXPECT_EQ(missing.size(), 2u);
   ASSERT_TRUE(submitter.declare(top_cv, a_cv).ok());
-  missing = submitter.undeclared_children(*library, {"top", "schematic"}, project);
-  ASSERT_TRUE(missing.ok());
-  ASSERT_EQ(missing->size(), 1u);
-  EXPECT_EQ((*missing)[0], "b");
+  missing = submitter.undeclared_children(project, doc("top", "schematic"));
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0], "b");
+  EXPECT_EQ(submitter.declared_children(project, "top"), std::set<std::string>{"a"});
   EXPECT_EQ(submitter.stats().desktop_steps, 1u);
 }
 
@@ -141,7 +150,8 @@ TEST_F(HierarchySyncTest, IsomorphicViewsAccepted) {
   put("top", "schematic", {{"sub", "schematic"}});
   put("top", "layout", {{"sub", "layout"}});
   HierarchySubmitter submitter(&jcf, false, false);
-  EXPECT_TRUE(submitter.check_isomorphic(*library, "top", {"schematic", "layout"}).ok());
+  EXPECT_TRUE(submitter.check_isomorphic(*library, doc("top", "layout"), {"schematic", "layout"})
+                  .ok());
 }
 
 TEST_F(HierarchySyncTest, NonIsomorphicRejectedUnlessExtensionOn) {
@@ -151,13 +161,15 @@ TEST_F(HierarchySyncTest, NonIsomorphicRejectedUnlessExtensionOn) {
   put("top", "schematic", {{"sub", "schematic"}});
   put("top", "layout", {{"sub", "layout"}, {"extra", "layout"}});
   HierarchySubmitter strict(&jcf, false, /*allow_non_isomorphic=*/false);
-  auto st = strict.check_isomorphic(*library, "top", {"schematic", "layout"});
+  auto st = strict.check_isomorphic(*library, doc("top", "layout"), {"schematic", "layout"});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, Errc::not_supported);
   EXPECT_EQ(strict.stats().non_isomorphic_rejections, 1u);
   // the future-JCF extension accepts it
   HierarchySubmitter relaxed(&jcf, false, /*allow_non_isomorphic=*/true);
-  EXPECT_TRUE(relaxed.check_isomorphic(*library, "top", {"schematic", "layout"}).ok());
+  EXPECT_TRUE(
+      relaxed.check_isomorphic(*library, doc("top", "layout"), {"schematic", "layout"}).ok());
+  EXPECT_EQ(relaxed.stats().non_isomorphic_rejections, 0u);
 }
 
 TEST_F(HierarchySyncTest, ViewsWithoutDataSkippedInIsomorphismCheck) {
@@ -165,7 +177,38 @@ TEST_F(HierarchySyncTest, ViewsWithoutDataSkippedInIsomorphismCheck) {
   put("top", "schematic", {{"sub", "schematic"}});
   // layout cellviews exist in JCF terms but hold no data yet
   HierarchySubmitter submitter(&jcf, false, false);
-  EXPECT_TRUE(submitter.check_isomorphic(*library, "top", {"schematic", "layout"}).ok());
+  EXPECT_TRUE(
+      submitter.check_isomorphic(*library, doc("top", "schematic"), {"schematic", "layout"})
+          .ok());
+}
+
+TEST_F(HierarchySyncTest, ViewsWithoutInstancesSkippedInIsomorphismCheck) {
+  put("sub", "schematic", {});
+  put("top", "schematic", {{"sub", "schematic"}});
+  put("top", "layout", {});  // layout data, hierarchy not entered yet
+  HierarchySubmitter submitter(&jcf, false, false);
+  EXPECT_TRUE(
+      submitter.check_isomorphic(*library, doc("top", "schematic"), {"schematic", "layout"})
+          .ok());
+}
+
+TEST_F(HierarchySyncTest, AdmitRefusesUndeclaredChildrenInManualMode) {
+  put("a", "schematic", {});
+  put("top", "schematic", {{"a", "schematic"}});
+  register_cell("top");
+  register_cell("a");
+  HierarchySubmitter manual(&jcf, /*procedural=*/false, false);
+  auto st = manual.admit(*library, project, doc("top", "schematic"), {"schematic", "layout"});
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Errc::consistency_violation);
+  EXPECT_NE(st.error().message.find("undeclared children a"), std::string::npos);
+  EXPECT_EQ(manual.stats().relations_submitted, 0u);
+  // The procedural interface submits them instead, once.
+  HierarchySubmitter procedural(&jcf, /*procedural=*/true, false);
+  EXPECT_TRUE(
+      procedural.admit(*library, project, doc("top", "schematic"), {"schematic", "layout"}).ok());
+  EXPECT_EQ(procedural.stats().relations_submitted, 1u);
+  EXPECT_TRUE(manual.undeclared_children(project, doc("top", "schematic")).empty());
 }
 
 TEST_F(HierarchySyncTest, ProceduralBulkSubmissionGuarded) {

@@ -6,6 +6,7 @@
 
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/coupling/resolvers.hpp"
+#include "jfm/support/telemetry.hpp"
 
 namespace jfm::coupling {
 namespace {
@@ -141,6 +142,9 @@ TEST_F(HybridTest, NonIsomorphicLayoutRejectedThenAllowedByExtension) {
         {"add-instance", {"i0", "sub", "layout", "0", "0"}},
         {"add-instance", {"i1", "other", "layout", "100", "0"}},
     };
+    auto& rejections = support::telemetry::Registry::global().counter(
+        "coupling.hierarchy.non_isomorphic_rejection.count");
+    const std::uint64_t rejections0 = rejections.value();
     auto run = hybrid->run_activity("p", "top", "enter_layout", alice, lay_edits);
     if (allow) {
       EXPECT_TRUE(run.ok()) << run.error().to_text();
@@ -150,6 +154,11 @@ TEST_F(HybridTest, NonIsomorphicLayoutRejectedThenAllowedByExtension) {
       ASSERT_FALSE(hybrid->consistency_log().empty());
       EXPECT_NE(hybrid->consistency_log().back().find("non-isomorphic"), std::string::npos);
     }
+    // The product path counts its rejections in the stats and the
+    // registry alike.
+    const std::uint64_t expected = allow ? 0 : 1;
+    EXPECT_EQ(hybrid->hierarchy().stats().non_isomorphic_rejections, expected);
+    EXPECT_EQ(rejections.value() - rejections0, expected);
   }
 }
 

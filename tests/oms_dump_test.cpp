@@ -95,6 +95,17 @@ TEST(Dump, RejectsMalformedInput) {
   EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr 1 count 3x\nend\n"), Errc::parse_error);
   EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nlink next 1 z\nend\n"), Errc::parse_error);
   EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nlink next -1 1\nend\n"), Errc::parse_error);
+  // A value field after the type token reaches the number parsers
+  // (the cases above without one stop at the missing field).
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr 1 count integer 3x\nend\n"),
+            Errc::parse_error);
+  EXPECT_EQ(code("omsdump 1\nobject 1 Item 0\nattr 1 count integer 3\nend\n"), Errc::ok);
+  // reals: the whole field must parse and fit a double
+  const std::string real_attr = "omsdump 1\nobject 1 Item 0\nattr 1 ratio real ";
+  for (const char* bad : {"0.5x", "", "1e999", "0x1p3", "--1", "1.2.3"}) {
+    EXPECT_EQ(code(real_attr + bad + "\nend\n"), Errc::parse_error) << "'" << bad << "'";
+  }
+  EXPECT_EQ(code(real_attr + "-2.5e-3\nend\n"), Errc::ok);
 }
 
 // Ids in a dump may be sparse and large; the allocator jumps past the

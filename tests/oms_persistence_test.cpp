@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "jfm/oms/store.hpp"
 #include "jfm/oms/wal.hpp"
 #include "jfm/support/faultsim.hpp"
+#include "jfm/support/hash.hpp"
 #include "jfm/support/rng.hpp"
 #include "jfm/vfs/filesystem.hpp"
 #include "test_seed.hpp"
@@ -211,6 +213,48 @@ TEST_F(PersistenceTest, SnapshotOnlyReopenRestoresTheImage) {
   EXPECT_EQ(digest(recovered), before);
   EXPECT_EQ(recovered.wal_stats().replayed_records, 0u);
   EXPECT_EQ(recovered.wal_stats().snapshots_loaded, 1u);
+}
+
+// A snapshot whose manifest carries a malformed number -- with a valid
+// CRC, so the field parser itself must catch it -- is rejected, never
+// loaded with a truncated or wrapped value.
+TEST_F(PersistenceTest, MalformedManifestNumbersRejectTheSnapshot) {
+  Store store(persist_schema(), &clock, durable());
+  ASSERT_TRUE(store.open(fs, journal_dir()).ok());
+  populate(store);
+  ASSERT_TRUE(store.snapshot().ok());
+  auto listed = fs.list(journal_dir().child("snap"));
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 1u);
+  const vfs::Path manifest = journal_dir().child("snap").child(listed->front()).child("manifest");
+  auto original = fs.read_file(manifest);
+  ASSERT_TRUE(original.ok());
+  const std::string body = original->substr(0, original->rfind("end "));
+  const std::string real_field = " ratio real 0.375\n";
+  const std::string int_field = " weight int 42\n";
+  ASSERT_NE(body.find(real_field), std::string::npos);
+  ASSERT_NE(body.find(int_field), std::string::npos);
+
+  // Rewrite the manifest with `from` replaced by `to` and a fresh CRC,
+  // then report how many snapshots a recovering store loads.
+  auto loads_with = [&](const std::string& from, const std::string& to) {
+    std::string edited = body;
+    edited.replace(edited.find(from), from.size(), to);
+    char trailer[32];
+    std::snprintf(trailer, sizeof(trailer), "end %016llx\n",
+                  static_cast<unsigned long long>(support::crc32c(edited)));
+    EXPECT_TRUE(fs.write_file(manifest, edited + trailer).ok());
+    Store recovered(persist_schema(), &clock, durable());
+    EXPECT_TRUE(recovered.open(fs, journal_dir()).ok());
+    return recovered.wal_stats().snapshots_loaded;
+  };
+  EXPECT_EQ(loads_with(real_field, real_field), 1u);  // the rewrite itself is sound
+  for (const char* bad : {"0.375x", "0.3.75", "1e999", "0x1p3", "-"}) {
+    EXPECT_EQ(loads_with(real_field, std::string(" ratio real ") + bad + "\n"), 0u) << bad;
+  }
+  for (const char* bad : {"42abc", "4 2", "99999999999999999999", "-"}) {
+    EXPECT_EQ(loads_with(int_field, std::string(" weight int ") + bad + "\n"), 0u) << bad;
+  }
 }
 
 TEST_F(PersistenceTest, SnapshotPlusTailReopenRestoresTheImage) {

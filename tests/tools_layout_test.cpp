@@ -35,6 +35,15 @@ TEST(Layout, ParseNormalizesAndRejects) {
   EXPECT_EQ(flipped->rects[0].y2, 20);
   EXPECT_EQ(Layout::parse("rect m a b c d").code(), Errc::parse_error);
   EXPECT_EQ(Layout::parse("what 1").code(), Errc::parse_error);
+  // Every coordinate must be a whole integer: trailing junk, an empty
+  // sign and overflow are rejected instead of truncated.
+  EXPECT_EQ(Layout::parse("layer m1\nrect m1 0 0 10abc 5\n").code(), Errc::parse_error);
+  EXPECT_EQ(Layout::parse("place u1 c v 7zz 1\n").code(), Errc::parse_error);
+  EXPECT_EQ(Layout::parse("place u1 c v 7 -\n").code(), Errc::parse_error);
+  EXPECT_EQ(Layout::parse("rect m1 0 0 99999999999999999999 5\n").code(), Errc::parse_error);
+  auto negative = Layout::parse("place u1 c v -7 1\n");
+  ASSERT_TRUE(negative.ok());
+  EXPECT_EQ(negative->placements[0].x, -7);
 }
 
 TEST(Layout, Validate) {
@@ -164,6 +173,11 @@ TEST_F(LayoutToolTest, CommandErrors) {
             Errc::invalid_argument);  // degenerate
   EXPECT_EQ(tool.apply(d, "draw-rect", {"m", "x", "0", "1", "1"}).code(),
             Errc::invalid_argument);
+  EXPECT_EQ(tool.apply(d, "draw-rect", {"m", "0", "0", "10abc", "5"}).code(),
+            Errc::invalid_argument);  // trailing junk, not x2=10
+  EXPECT_EQ(tool.apply(d, "add-instance", {"u1", "c", "v", "7zz", "1"}).code(),
+            Errc::invalid_argument);  // not x=7
+  EXPECT_EQ(tool.apply(d, "check-drc", {"3.5"}).code(), Errc::invalid_argument);
   EXPECT_EQ(tool.apply(d, "move-rect", {"5", "0", "0"}).code(), Errc::not_found);
   EXPECT_EQ(tool.apply(d, "explode", {}).code(), Errc::not_found);
 }
