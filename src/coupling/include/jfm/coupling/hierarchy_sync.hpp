@@ -73,7 +73,8 @@ class HierarchySubmitter {
   /// in `library` (views without data or without instances are skipped:
   /// their hierarchy is not entered yet). A mismatch counts one
   /// rejection and fails with not_supported, unless the future-JCF
-  /// extension is on.
+  /// extension is on. A default version that cannot be read or parsed
+  /// fails the check with that error.
   support::Status check_isomorphic(fmcad::Library& library, const fmcad::DesignFile& doc,
                                    const std::vector<std::string>& views);
   /// Both rules, as the activity wrapper applies them before `doc`

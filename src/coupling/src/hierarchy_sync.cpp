@@ -25,15 +25,19 @@ std::set<std::string> child_set(const fmcad::DesignFile& doc) {
   return cells;
 }
 
-/// Child set of the default version of `key` (empty: no version yet).
+/// Child set of the default version of `key`; empty when the cellview
+/// does not exist, has no version yet or its default version is empty
+/// text (a rolled-back run re-stages that for a variant without a DOV;
+/// tools open it as an empty document). A version that cannot be read,
+/// or non-empty text that does not parse, is an error.
 Result<std::set<std::string>> default_children(fmcad::Library& library,
                                                const fmcad::CellViewKey& key) {
   const auto* record = library.meta().find_cellview(key);
-  if (record == nullptr) return support::fail(Errc::not_found, "cellview " + key.str());
-  const auto* version = record->default_version();
+  const auto* version = record != nullptr ? record->default_version() : nullptr;
   if (version == nullptr) return std::set<std::string>{};
   auto text = library.fs().read_file(library.cellview_dir(key).child(version->file));
   if (!text.ok()) return text.error();
+  if (text->empty()) return std::set<std::string>{};
   auto file = fmcad::DesignFile::parse(*text);
   if (!file.ok()) return file.error();
   return child_set(*file);
@@ -151,7 +155,8 @@ Status HierarchySubmitter::check_isomorphic(fmcad::Library& library,
   for (const auto& view : views) {
     if (view == doc.view) continue;
     auto other = default_children(library, {doc.cell, view});
-    if (!other.ok() || other->empty()) continue;  // no data, or hierarchy not entered yet
+    if (!other.ok()) return other.error();
+    if (other->empty()) continue;  // no data, or hierarchy not entered yet
     if (*other != children) {
       ++stats_.non_isomorphic_rejections;
       hier_counter("non_isomorphic_rejection").add(1);

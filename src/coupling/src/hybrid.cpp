@@ -714,7 +714,8 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
 
   // ---- hierarchy consistency before the data leave the tool ---------------
   // Only structural views carry hierarchy; the simulator's uses-list is
-  // a DUT *reference*, not a CompOf relation.
+  // a DUT *reference*, not a CompOf relation. document() serializes the
+  // edits once; the checkin below writes that same envelope.
   if (tool != sim_tool_.get()) {
     if (auto st = hierarchy_->admit(*ctx->library, ctx->ref, tool_session.document(),
                                     structural_views());

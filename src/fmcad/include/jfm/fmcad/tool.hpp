@@ -24,9 +24,61 @@
 
 namespace jfm::fmcad {
 
+/// A document open in an FMCAD tool: the typed, in-memory model of one
+/// DesignFile's payload, which the tool edits in place until the
+/// session saves it. ToolInterface::open() builds it from the file.
+class ToolDocument {
+ public:
+  virtual ~ToolDocument() = default;
+  ToolDocument(const ToolDocument&) = delete;
+  ToolDocument& operator=(const ToolDocument&) = delete;
+
+  /// Execute one editing command ("add-net", "draw-rect", ...).
+  /// All-or-nothing: a rejected command leaves the document exactly as
+  /// it was. Every argument must be one non-empty, whitespace-free
+  /// token -- the payload formats store them as single fields.
+  support::Status edit(const std::string& command, const std::vector<std::string>& args);
+
+  /// Structural check run before save; the framework refuses to save a
+  /// document its tool considers corrupt. Includes the envelope check:
+  /// uses() must name the masters the model instantiates.
+  virtual support::Status validate() const = 0;
+
+  /// Serialize the model (counted in tools.document.serialize.count).
+  std::string payload() const;
+
+  /// The envelope uses-list of the current state: as opened until the
+  /// first successful edit, from then on the masters the model uses.
+  std::vector<CellViewKey> uses() const { return edited_ ? masters() : opened_uses_; }
+
+ protected:
+  explicit ToolDocument(const DesignFile& file)
+      : cell_(file.cell), viewtype_(file.viewtype), opened_uses_(file.uses) {}
+
+  const std::string& cell() const noexcept { return cell_; }
+  const std::string& viewtype() const noexcept { return viewtype_; }
+  /// Does uses() name exactly `masters` (sorted, unique)? Order and
+  /// repeats in the envelope do not matter.
+  bool uses_match(const std::vector<CellViewKey>& masters) const;
+
+  /// The command itself; must check everything before it mutates.
+  virtual support::Status apply(const std::string& command,
+                                const std::vector<std::string>& args) = 0;
+  virtual std::string serialize() const = 0;
+  /// Master cellviews the model instantiates, sorted and unique.
+  virtual std::vector<CellViewKey> masters() const = 0;
+
+ private:
+  std::string cell_;
+  std::string viewtype_;
+  std::vector<CellViewKey> opened_uses_;
+  bool edited_ = false;
+};
+
 /// Implemented by each FMCAD application (schematic entry, layout
-/// editor, digital simulator -- see src/tools). A tool edits the
-/// DesignFile of a cellview whose view has the tool's viewtype.
+/// editor, digital simulator -- see src/tools). A tool opens the
+/// DesignFile of a cellview whose view has the tool's viewtype as a
+/// ToolDocument and edits that.
 class ToolInterface {
  public:
   virtual ~ToolInterface() = default;
@@ -36,17 +88,23 @@ class ToolInterface {
   /// Payload of a brand-new document.
   virtual std::string empty_payload() const = 0;
 
-  /// Structural check run before save; the framework refuses to save a
-  /// document its tool considers corrupt.
-  virtual support::Status validate(const DesignFile& doc) const = 0;
+  /// Parse `file`'s payload into an open document (counted in
+  /// tools.document.parse.count). Fails with parse_error on a payload
+  /// the tool cannot read.
+  support::Result<std::unique_ptr<ToolDocument>> open(const DesignFile& file) const;
 
-  /// Execute one editing command ("add-component", "draw-rect", ...) on
-  /// the document and return the updated document.
-  virtual support::Result<DesignFile> apply(const DesignFile& doc, const std::string& command,
-                                            const std::vector<std::string>& args) const = 0;
+  /// Stateless forms over open(), for callers that hold a DesignFile
+  /// rather than a session: validate = open + validate; apply = open +
+  /// edit, returning the file with the new payload and uses-list.
+  support::Status validate(const DesignFile& doc) const;
+  support::Result<DesignFile> apply(const DesignFile& doc, const std::string& command,
+                                    const std::vector<std::string>& args) const;
 
   /// Editing commands this tool offers; used to build the default menu.
   virtual std::vector<std::string> commands() const = 0;
+
+ protected:
+  virtual support::Result<std::unique_ptr<ToolDocument>> parse(const DesignFile& file) const = 0;
 };
 
 class ToolRegistry {
@@ -87,14 +145,18 @@ class ToolSession {
   // -- document lifecycle --------------------------------------------------
   /// Open a cellview. read_only opens the snapshot's default version
   /// without a checkout (native FMCAD browsing); otherwise the cellview
-  /// is checked out and the working copy loaded.
+  /// is checked out and the working copy loaded. The payload is not
+  /// parsed here: the first edit opens the tool's document.
   support::Status open(const CellViewKey& key, bool read_only);
-  bool is_open() const noexcept { return doc_.has_value(); }
+  bool is_open() const noexcept { return file_.has_value(); }
   bool read_only() const noexcept { return read_only_; }
-  const DesignFile& document() const { return *doc_; }
+  /// The open design file, with any edits since the last call
+  /// serialized into it. save() reuses that serialization.
+  const DesignFile& document();
   const CellViewKey& key() const noexcept { return key_; }
 
-  /// Validate + write the working copy (keeps the checkout).
+  /// Validate + write the working copy (keeps the checkout). Without a
+  /// successful edit, the payload is written as it was opened.
   support::Status save();
   /// Save, check in as a new version and close; returns version number.
   support::Result<int> checkin();
@@ -102,7 +164,8 @@ class ToolSession {
   support::Status discard();
 
   // -- editing ---------------------------------------------------------------
-  /// Run a tool command directly (scripting path, no menu checks).
+  /// Run a tool command directly (scripting path, no menu checks) on
+  /// the open document; the first edit parses the payload.
   support::Status edit(const std::string& command, const std::vector<std::string>& args);
 
   // -- menus -------------------------------------------------------------------
@@ -128,6 +191,7 @@ class ToolSession {
  private:
   static std::string probe_topic(const std::string& cell) { return "crossprobe:" + cell; }
   void install_default_menus();
+  void close();
 
   DesignerSession* designer_;
   ToolInterface* tool_;
@@ -135,7 +199,9 @@ class ToolSession {
   extlang::Interpreter* interp_;
 
   CellViewKey key_;
-  std::optional<DesignFile> doc_;
+  std::optional<DesignFile> file_;
+  std::unique_ptr<ToolDocument> doc_;  ///< built by the first edit
+  bool unflushed_ = false;             ///< doc_ holds edits file_ lacks
   bool read_only_ = false;
   std::map<std::string, std::vector<MenuItem>> menus_;
   std::optional<ItcBus::SubscriptionId> probe_subscription_;

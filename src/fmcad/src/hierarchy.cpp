@@ -24,33 +24,29 @@ Result<DesignFile> DesignFile::parse(const std::string& text) {
     return Result<DesignFile>::failure(Errc::parse_error, "design file: " + why);
   };
   DesignFile out;
-  std::size_t pos = 0;
   bool saw_header = false;
   bool saw_cellview = false;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    std::string_view line = support::trim(std::string_view(text).substr(pos, eol - pos));
-    pos = eol + 1;
+  support::LineTokenizer t(text);
+  while (t.next()) {
+    const std::string_view line = t.line();
     if (!saw_header) {
       if (line != "cvfile 1") return fail("bad header");
       saw_header = true;
       continue;
     }
     if (line == "payload") {
-      out.payload = pos <= text.size() ? text.substr(std::min(pos, text.size())) : "";
+      out.payload = std::string(t.rest());
       if (!saw_cellview) return fail("missing cellview record");
       return out;
     }
-    auto f = support::split_ws(line);
-    if (f.empty()) continue;
-    if (f[0] == "cellview" && f.size() == 4) {
-      out.cell = f[1];
-      out.view = f[2];
-      out.viewtype = f[3];
+    if (t.size() == 0) continue;
+    if (t[0] == "cellview" && t.size() == 4) {
+      out.cell = std::string(t[1]);
+      out.view = std::string(t[2]);
+      out.viewtype = std::string(t[3]);
       saw_cellview = true;
-    } else if (f[0] == "uses" && f.size() == 3) {
-      out.uses.push_back({f[1], f[2]});
+    } else if (t[0] == "uses" && t.size() == 3) {
+      out.uses.push_back({std::string(t[1]), std::string(t[2])});
     } else {
       return fail("bad record '" + std::string(line) + "'");
     }

@@ -1,10 +1,70 @@
 #include "jfm/fmcad/tool.hpp"
 
+#include <algorithm>
+#include <set>
+
+#include "jfm/support/strings.hpp"
+#include "jfm/support/telemetry.hpp"
+
 namespace jfm::fmcad {
 
 using support::Errc;
 using support::Result;
 using support::Status;
+
+namespace telemetry = support::telemetry;
+
+Status ToolDocument::edit(const std::string& command, const std::vector<std::string>& args) {
+  for (const auto& arg : args) {
+    // The payload parsers split fields on exactly these characters.
+    const bool token =
+        !arg.empty() && std::none_of(arg.begin(), arg.end(), support::is_ascii_space);
+    if (!token) {
+      return support::fail(Errc::invalid_argument,
+                           command + ": argument '" + arg + "' is not a single token");
+    }
+  }
+  if (auto st = apply(command, args); !st.ok()) return st;
+  edited_ = true;
+  return {};
+}
+
+bool ToolDocument::uses_match(const std::vector<CellViewKey>& masters) const {
+  const auto advertised = uses();
+  const std::set<CellViewKey> listed(advertised.begin(), advertised.end());
+  return std::equal(listed.begin(), listed.end(), masters.begin(), masters.end());
+}
+
+std::string ToolDocument::payload() const {
+  static auto& serializations =
+      telemetry::Registry::global().counter("tools.document.serialize.count");
+  serializations.add(1);
+  return serialize();
+}
+
+Result<std::unique_ptr<ToolDocument>> ToolInterface::open(const DesignFile& file) const {
+  static auto& parses = telemetry::Registry::global().counter("tools.document.parse.count");
+  parses.add(1);
+  return parse(file);
+}
+
+Status ToolInterface::validate(const DesignFile& doc) const {
+  auto opened = open(doc);
+  if (!opened.ok()) return Status(opened.error());
+  return (*opened)->validate();
+}
+
+Result<DesignFile> ToolInterface::apply(const DesignFile& doc, const std::string& command,
+                                        const std::vector<std::string>& args) const {
+  auto opened = open(doc);
+  if (!opened.ok()) return opened.error();
+  ToolDocument& model = **opened;
+  if (auto st = model.edit(command, args); !st.ok()) return st.error();
+  DesignFile updated = doc;
+  updated.payload = model.payload();
+  updated.uses = model.uses();
+  return updated;
+}
 
 Status ToolRegistry::add(std::shared_ptr<ToolInterface> tool) {
   if (by_name(tool->name()) != nullptr) {
@@ -52,6 +112,16 @@ ToolSession::~ToolSession() {
   }
 }
 
+void ToolSession::close() {
+  file_.reset();
+  doc_.reset();
+  unflushed_ = false;
+  if (probe_subscription_) {
+    bus_->unsubscribe(*probe_subscription_);
+    probe_subscription_.reset();
+  }
+}
+
 void ToolSession::install_default_menus() {
   menus_["File"] = {
       {"Save", "save", true},
@@ -71,6 +141,7 @@ void ToolSession::install_default_menus() {
 }
 
 Status ToolSession::open(const CellViewKey& key, bool read_only) {
+  JFM_SPAN("tools", "open");
   if (is_open()) return support::fail(Errc::invalid_argument, "session already has a document");
   const ViewDef* view = designer_->view().find_view(key.view);
   if (view == nullptr) {
@@ -91,20 +162,27 @@ Status ToolSession::open(const CellViewKey& key, bool read_only) {
     auto work = designer_->checkout(key);
     if (!work.ok()) return Status(work.error());
     auto content = designer_->library().fs().read_file(*work);
-    if (!content.ok()) return Status(content.error());
+    if (!content.ok()) {
+      // A failed open leaves no session that would release the lock.
+      (void)designer_->cancel_checkout(key);
+      return Status(content.error());
+    }
     text = std::move(*content);
   }
   if (text.empty()) {
-    DesignFile doc;
-    doc.cell = key.cell;
-    doc.view = key.view;
-    doc.viewtype = tool_->viewtype();
-    doc.payload = tool_->empty_payload();
-    doc_ = std::move(doc);
+    DesignFile file;
+    file.cell = key.cell;
+    file.view = key.view;
+    file.viewtype = tool_->viewtype();
+    file.payload = tool_->empty_payload();
+    file_ = std::move(file);
   } else {
-    auto doc = DesignFile::parse(text);
-    if (!doc.ok()) return Status(doc.error());
-    doc_ = std::move(*doc);
+    auto file = DesignFile::parse(text);
+    if (!file.ok()) {
+      if (!read_only) (void)designer_->cancel_checkout(key);
+      return Status(file.error());
+    }
+    file_ = std::move(*file);
   }
   key_ = key;
   read_only_ = read_only;
@@ -120,16 +198,27 @@ Status ToolSession::open(const CellViewKey& key, bool read_only) {
   return {};
 }
 
+const DesignFile& ToolSession::document() {
+  if (unflushed_) {
+    file_->payload = doc_->payload();
+    file_->uses = doc_->uses();
+    unflushed_ = false;
+  }
+  return *file_;
+}
+
 Status ToolSession::save() {
+  JFM_SPAN("tools", "save");
   if (!is_open()) return support::fail(Errc::invalid_argument, "no open document");
   if (read_only_) return support::fail(Errc::permission_denied, "document opened read-only");
-  if (auto st = tool_->validate(*doc_); !st.ok()) return st;
+  const DesignFile& file = document();
+  if (auto st = doc_ ? doc_->validate() : tool_->validate(file); !st.ok()) return st;
   if (auto st = interp_->fire("pre-save", {extlang::Value(key_.cell), extlang::Value(key_.view)},
                               /*veto_on_false=*/true);
       !st.ok()) {
     return st;
   }
-  if (auto st = designer_->write_working(key_, doc_->serialize()); !st.ok()) return st;
+  if (auto st = designer_->write_working(key_, file.serialize()); !st.ok()) return st;
   (void)interp_->fire("post-save", {extlang::Value(key_.cell), extlang::Value(key_.view)});
   return {};
 }
@@ -138,11 +227,7 @@ Result<int> ToolSession::checkin() {
   if (auto st = save(); !st.ok()) return Result<int>::failure(st.error().code, st.error().message);
   auto version = designer_->checkin(key_);
   if (!version.ok()) return version;
-  doc_.reset();
-  if (probe_subscription_) {
-    bus_->unsubscribe(*probe_subscription_);
-    probe_subscription_.reset();
-  }
+  close();
   return version;
 }
 
@@ -151,20 +236,21 @@ Status ToolSession::discard() {
   if (!read_only_) {
     if (auto st = designer_->cancel_checkout(key_); !st.ok()) return st;
   }
-  doc_.reset();
-  if (probe_subscription_) {
-    bus_->unsubscribe(*probe_subscription_);
-    probe_subscription_.reset();
-  }
+  close();
   return {};
 }
 
 Status ToolSession::edit(const std::string& command, const std::vector<std::string>& args) {
+  JFM_SPAN("tools", "edit");
   if (!is_open()) return support::fail(Errc::invalid_argument, "no open document");
   if (read_only_) return support::fail(Errc::permission_denied, "document opened read-only");
-  auto updated = tool_->apply(*doc_, command, args);
-  if (!updated.ok()) return Status(updated.error());
-  doc_ = std::move(*updated);
+  if (!doc_) {
+    auto opened = tool_->open(*file_);
+    if (!opened.ok()) return Status(opened.error());
+    doc_ = std::move(*opened);
+  }
+  if (auto st = doc_->edit(command, args); !st.ok()) return st;
+  unflushed_ = true;
   return {};
 }
 

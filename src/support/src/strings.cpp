@@ -30,6 +30,29 @@ std::vector<std::string> split_ws(std::string_view text) {
   return out;
 }
 
+bool LineTokenizer::next() {
+  if (pos_ >= text_.size()) return false;
+  std::size_t eol = text_.find('\n', pos_);
+  if (eol == std::string_view::npos) eol = text_.size();
+  std::string_view line = text_.substr(pos_, eol - pos_);
+  while (!line.empty() && is_ascii_space(line.front())) line.remove_prefix(1);
+  while (!line.empty() && is_ascii_space(line.back())) line.remove_suffix(1);
+  line_ = line;
+  pos_ = eol + 1;
+  count_ = 0;
+  std::size_t i = 0;
+  while (i < line_.size()) {
+    while (i < line_.size() && is_ascii_space(line_[i])) ++i;
+    const std::size_t start = i;
+    while (i < line_.size() && !is_ascii_space(line_[i])) ++i;
+    if (i > start) {
+      if (count_ < kMaxFields) fields_[count_] = line_.substr(start, i - start);
+      ++count_;
+    }
+  }
+  return true;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -1,7 +1,7 @@
 #pragma once
 // The FMCAD layout editor (second encapsulated tool, paper s2.4).
-// Edits DesignFiles of viewtype "layout"; keeps the envelope `uses`
-// list in sync with the placed masters.
+// Opens DesignFiles of viewtype "layout" as an in-memory Layout; the
+// saved envelope's `uses` list is derived from the placed masters.
 
 #include "jfm/fmcad/tool.hpp"
 #include "jfm/tools/layout.hpp"
@@ -14,17 +14,13 @@ class LayoutTool final : public fmcad::ToolInterface {
   std::string viewtype() const override { return "layout"; }
   std::string empty_payload() const override { return ""; }
 
-  support::Status validate(const fmcad::DesignFile& doc) const override;
-
-  support::Result<fmcad::DesignFile> apply(const fmcad::DesignFile& doc,
-                                           const std::string& command,
-                                           const std::vector<std::string>& args) const override;
-
   std::vector<std::string> commands() const override {
     return {"add-layer", "draw-rect", "move-rect", "delete-rect", "check-drc"};
   }
-};
 
-void sync_uses_from_layout(fmcad::DesignFile& doc, const Layout& layout);
+ protected:
+  support::Result<std::unique_ptr<fmcad::ToolDocument>> parse(
+      const fmcad::DesignFile& file) const override;
+};
 
 }  // namespace jfm::tools

@@ -15,8 +15,12 @@
 // Hierarchical instance pins are the child cell's port names; a child
 // port named p is attached to the net named p inside the child.
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "jfm/support/result.hpp"
@@ -45,6 +49,15 @@ struct Connection {
   std::string net;
   std::string element;  ///< primitive or instance name
   std::string pin;
+};
+
+/// Hash of an (element, pin) pair, the key of the pin indexes. Takes a
+/// pair of views, so a pair of std::string hashes the same way.
+struct PinHash {
+  std::size_t operator()(std::pair<std::string_view, std::string_view> pin) const noexcept {
+    const std::hash<std::string_view> h;
+    return h(pin.first) * 31 + h(pin.second);
+  }
 };
 
 struct Schematic {

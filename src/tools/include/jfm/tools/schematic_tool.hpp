@@ -1,8 +1,9 @@
 #pragma once
 // The FMCAD schematic entry tool (one of the three encapsulated tools,
-// paper s2.4). Edits DesignFiles of viewtype "schematic" whose payload
-// is a Schematic netlist; keeps the envelope's `uses` list in sync with
-// the hierarchical instances so the hierarchy binder sees the truth.
+// paper s2.4). Opens DesignFiles of viewtype "schematic" whose payload
+// is a Schematic netlist as an indexed in-memory document; the saved
+// envelope's `uses` list is derived from the hierarchical instances so
+// the hierarchy binder sees the truth.
 
 #include "jfm/fmcad/tool.hpp"
 #include "jfm/tools/schematic.hpp"
@@ -22,15 +23,13 @@ class SchematicTool final : public fmcad::ToolInterface {
   std::string viewtype() const override { return viewtype_; }
   std::string empty_payload() const override { return ""; }
 
-  support::Status validate(const fmcad::DesignFile& doc) const override;
-
-  support::Result<fmcad::DesignFile> apply(const fmcad::DesignFile& doc,
-                                           const std::string& command,
-                                           const std::vector<std::string>& args) const override;
-
   std::vector<std::string> commands() const override {
     return {"add-port", "add-net", "add-prim", "connect", "disconnect", "rename-net"};
   }
+
+ protected:
+  support::Result<std::unique_ptr<fmcad::ToolDocument>> parse(
+      const fmcad::DesignFile& file) const override;
 
  private:
   std::string viewtype_;

@@ -1,6 +1,6 @@
 #pragma once
 // The FMCAD digital simulator tool (third encapsulated tool, s2.4).
-// Edits "testbench" documents of viewtype "simulate": a DUT reference,
+// Opens "testbench" documents of viewtype "simulate": a DUT reference,
 // stimuli, watched signals and -- after `run` -- the results.
 //
 // Payload grammar:
@@ -50,18 +50,17 @@ class SimulatorTool final : public fmcad::ToolInterface {
   std::string viewtype() const override { return "simulate"; }
   std::string empty_payload() const override { return ""; }
 
-  support::Status validate(const fmcad::DesignFile& doc) const override;
-
-  support::Result<fmcad::DesignFile> apply(const fmcad::DesignFile& doc,
-                                           const std::string& command,
-                                           const std::vector<std::string>& args) const override;
-
   std::vector<std::string> commands() const override {
     return {"set-dut", "add-stim", "add-watch", "set-runtime", "run", "clear-results"};
   }
 
-  /// Where the simulator gets design data from; must be set before `run`.
+  /// Where the simulator gets design data from; must be set before
+  /// `run`. Open documents see a later call too.
   void set_resolver(SchematicResolver resolver) { resolver_ = std::move(resolver); }
+
+ protected:
+  support::Result<std::unique_ptr<fmcad::ToolDocument>> parse(
+      const fmcad::DesignFile& file) const override;
 
  private:
   SchematicResolver resolver_;

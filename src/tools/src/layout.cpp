@@ -35,33 +35,33 @@ std::string Layout::serialize() const {
 
 Result<Layout> Layout::parse(const std::string& payload) {
   Layout out;
-  for (const auto& raw : support::split(payload, '\n')) {
-    std::string_view line = support::trim(raw);
+  support::LineTokenizer t(payload);
+  while (t.next()) {
+    const std::string_view line = t.line();
     if (line.empty() || line[0] == '#') continue;
-    auto f = support::split_ws(line);
     auto bad_number = [&] {
       return Result<Layout>::failure(Errc::parse_error,
                                      "layout: bad number in '" + std::string(line) + "'");
     };
-    if (f[0] == "layer" && f.size() == 2) {
-      out.layers.push_back(f[1]);
-    } else if (f[0] == "rect" && (f.size() == 6 || f.size() == 7)) {
+    if (t[0] == "layer" && t.size() == 2) {
+      out.layers.emplace_back(t[1]);
+    } else if (t[0] == "rect" && (t.size() == 6 || t.size() == 7)) {
       Rect r;
-      r.layer = f[1];
-      if (!support::parse_integer(f[2], r.x1) || !support::parse_integer(f[3], r.y1) ||
-          !support::parse_integer(f[4], r.x2) || !support::parse_integer(f[5], r.y2)) {
+      r.layer = std::string(t[1]);
+      if (!support::parse_integer(t[2], r.x1) || !support::parse_integer(t[3], r.y1) ||
+          !support::parse_integer(t[4], r.x2) || !support::parse_integer(t[5], r.y2)) {
         return bad_number();
       }
-      if (f.size() == 7) r.net = f[6];
+      if (t.size() == 7) r.net = std::string(t[6]);
       if (r.x1 > r.x2) std::swap(r.x1, r.x2);
       if (r.y1 > r.y2) std::swap(r.y1, r.y2);
       out.rects.push_back(std::move(r));
-    } else if (f[0] == "place" && f.size() == 6) {
+    } else if (t[0] == "place" && t.size() == 6) {
       Placement p;
-      p.name = f[1];
-      p.master_cell = f[2];
-      p.master_view = f[3];
-      if (!support::parse_integer(f[4], p.x) || !support::parse_integer(f[5], p.y)) {
+      p.name = std::string(t[1]);
+      p.master_cell = std::string(t[2]);
+      p.master_view = std::string(t[3]);
+      if (!support::parse_integer(t[4], p.x) || !support::parse_integer(t[5], p.y)) {
         return bad_number();
       }
       out.placements.push_back(std::move(p));

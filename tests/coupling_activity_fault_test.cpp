@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -334,6 +335,98 @@ TEST_P(ActivityFaultProperty, FailedCallsLeaveMasterAndSlaveInAgreement) {
                seed, faulted_runs, failed_calls);
   // The schedule must actually break runs, or the property is vacuous.
   EXPECT_GT(failed_calls, 0u);
+}
+
+// Hierarchy admission reads the other structural views' defaults. When
+// one of those reads fails, the run fails with that error instead of
+// admitting the document unchecked, and the guard rolls it back. top
+// has both a schematic and a layout hierarchy here; the sweep arms
+// vfs.read at each ordinal of an enter_schematic run and finds the
+// failures the layout-default read in the isomorphism check caused: the
+// run shows them in a consistency window (the admission step's refusal)
+// before failing.
+TEST_P(ActivityFaultProperty, UnreadableOtherViewFailsHierarchyAdmission) {
+  const std::uint32_t seed = GetParam();
+  const auto ops = operations(seed);
+  const auto find_op = [&](const std::string& name) {
+    return *std::find_if(ops.begin(), ops.end(), [&](const Operation& op) { return op.name == name; });
+  };
+  const Operation layout = find_op("enter_layout top (first)");
+  const Operation edit = find_op("enter_schematic top (repeat)");
+  std::size_t admission_failures = 0;
+  for (int n = 1; n <= 3 * kMaxOrdinal; ++n) {
+    const std::string context = "vfs.read@" + std::to_string(n);
+    build_world(seed);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(layout.run(*hybrid, alice).ok());
+    const std::size_t windows_before = hybrid->consistency_log().size();
+    arm("seed=" + std::to_string(seed) + ";vfs.read@" + std::to_string(n));
+    const auto st = edit.run(*hybrid, alice);
+    const std::uint64_t injected = faultsim::Injector::global().injected();
+    faultsim::Injector::global().disarm();
+    if (injected == 0) break;
+    const auto& log = hybrid->consistency_log();
+    if (log.size() > windows_before &&
+        log.back().find("injected fault at vfs.read") != std::string::npos) {
+      ++admission_failures;
+      ASSERT_FALSE(st.ok()) << context << ": admitted despite an unreadable layout default";
+      EXPECT_EQ(st.error().code, support::Errc::io_error) << context;
+    }
+    expect_consistent(context);
+    if (!st.ok()) {
+      auto retry = edit.run(*hybrid, alice);
+      ASSERT_TRUE(retry.ok()) << context << ": fault-free retry failed: "
+                              << retry.error().to_text();
+      expect_consistent(context + ", retried");
+    }
+  }
+  EXPECT_EQ(admission_failures, 1u);
+}
+
+// A first enter_layout that fails after its FMCAD checkin is undone by
+// re-staging the variant's latest layout DOV; there is none, so the
+// layout default becomes an empty version. Hierarchy admission treats
+// that like "no version yet": a hierarchical enter_schematic on the
+// same cell, run right after the failure, must still be admitted.
+TEST_P(ActivityFaultProperty, EmptyRestagedViewDoesNotBlockHierarchyAdmission) {
+  const std::uint32_t seed = GetParam();
+  const auto ops = operations(seed);
+  const auto find_op = [&](const std::string& name) {
+    return *std::find_if(ops.begin(), ops.end(), [&](const Operation& op) { return op.name == name; });
+  };
+  const Operation layout = find_op("enter_layout top (first)");
+  const Operation edit = find_op("enter_schematic top (repeat)");
+  const auto layout_default_is_empty = [&] {
+    auto library = hybrid->library("p");
+    const fmcad::CellViewKey key{"top", "layout"};
+    const auto* record = library->meta().find_cellview(key);
+    const auto* version = record != nullptr ? record->default_version() : nullptr;
+    if (version == nullptr) return false;
+    auto text = hybrid->fs().read_file(library->cellview_dir(key).child(version->file));
+    return text.ok() && text->empty();
+  };
+  std::size_t empty_restages = 0;
+  for (const char* site : kSites) {
+    for (int n = 1; n <= kMaxOrdinal; ++n) {
+      const std::string context = std::string("enter_layout with ") + site + "@" + std::to_string(n);
+      build_world(seed);
+      if (HasFatalFailure()) return;
+      arm("seed=" + std::to_string(seed) + ";" + site + "@" + std::to_string(n));
+      const auto st = layout.run(*hybrid, alice);
+      const std::uint64_t injected = faultsim::Injector::global().injected();
+      faultsim::Injector::global().disarm();
+      if (injected == 0) break;
+      if (st.ok() || !layout_default_is_empty()) continue;
+      ++empty_restages;
+      expect_consistent(context);
+      auto run = edit.run(*hybrid, alice);
+      ASSERT_TRUE(run.ok()) << context << ", then " << edit.name << ": "
+                            << run.error().to_text();
+      expect_consistent(context + ", then " + edit.name);
+    }
+  }
+  // Some fault must land after the layout checkin, or nothing was shown.
+  EXPECT_GT(empty_restages, 0u);
 }
 
 // The guard cancels only the checkouts its run opened: a working copy

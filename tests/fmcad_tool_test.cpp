@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "jfm/fmcad/tool.hpp"
+#include "jfm/support/telemetry.hpp"
 #include "jfm/tools/schematic_tool.hpp"
 
 namespace jfm::fmcad {
@@ -126,6 +127,52 @@ TEST_F(ToolSessionTest, ReadOnlyOpenCannotEditOrSave) {
   EXPECT_FALSE(library->meta().find_cellview({"alu", "schematic"})->checkout.has_value());
 }
 
+// The session parses the payload at the first edit, not at open, and
+// writes it back unchanged when no edit succeeded.
+TEST_F(ToolSessionTest, PayloadParsedOnFirstEditAndKeptVerbatimWithoutOne) {
+  const CellViewKey key{"alu", "schematic"};
+  const std::string text =
+      "cvfile 1\ncellview alu schematic schematic\npayload\n# hand-made\nnet  n1\n";
+  ASSERT_TRUE(alice->checkout(key).ok());
+  ASSERT_TRUE(alice->write_working(key, text).ok());
+  ASSERT_TRUE(alice->checkin(key).ok());
+  auto& parses = support::telemetry::Registry::global().counter("tools.document.parse.count");
+  {
+    const std::uint64_t before = parses.value();
+    ToolSession viewer(alice.get(), &tool, &bus, &interp);
+    ASSERT_TRUE(viewer.open(key, /*read_only=*/true).ok());
+    EXPECT_EQ(viewer.document().payload, "# hand-made\nnet  n1\n");
+    EXPECT_EQ(parses.value(), before);  // browsing never builds a document
+  }
+  {
+    ToolSession session(alice.get(), &tool, &bus, &interp);
+    ASSERT_TRUE(session.open(key, false).ok());
+    EXPECT_EQ(session.edit("add-net", {"n1"}).code(), Errc::already_exists);
+    ASSERT_TRUE(session.checkin().ok());
+    EXPECT_EQ(*alice->read_default(key), text);
+  }
+  ToolSession session(alice.get(), &tool, &bus, &interp);
+  ASSERT_TRUE(session.open(key, false).ok());
+  ASSERT_TRUE(session.edit("add-net", {"n2"}).ok());
+  EXPECT_EQ(session.document().payload, "net n1\nnet n2\n");
+  ASSERT_TRUE(session.checkin().ok());
+  EXPECT_EQ(*alice->read_default(key),
+            "cvfile 1\ncellview alu schematic schematic\npayload\nnet n1\nnet n2\n");
+}
+
+// Payload formats store each argument as one field, so an argument the
+// format cannot hold is refused before it reaches the document.
+TEST_F(ToolSessionTest, ArgumentsMustBeSingleTokens) {
+  ToolSession session(alice.get(), &tool, &bus, &interp);
+  ASSERT_TRUE(session.open({"alu", "schematic"}, false).ok());
+  for (const char* bad : {"a b", "", "n\t1", "x\n"}) {
+    EXPECT_EQ(session.edit("add-net", {bad}).code(), Errc::invalid_argument) << bad;
+  }
+  ASSERT_TRUE(session.edit("add-net", {"ok"}).ok());
+  EXPECT_EQ(session.document().payload, "net ok\n");
+  ASSERT_TRUE(session.discard().ok());
+}
+
 TEST_F(ToolSessionTest, MenuLockingBlocksInvocation) {
   ToolSession session(alice.get(), &tool, &bus, &interp);
   ASSERT_TRUE(session.open({"alu", "schematic"}, false).ok());
@@ -209,6 +256,20 @@ TEST_F(ToolSessionTest, DestructorReleasesCheckout) {
     EXPECT_TRUE(library->meta().find_cellview({"alu", "schematic"})->checkout.has_value());
   }
   EXPECT_FALSE(library->meta().find_cellview({"alu", "schematic"})->checkout.has_value());
+}
+
+// A working copy that fails to load leaves no checkout behind: the
+// failed open has no session that could release it later.
+TEST_F(ToolSessionTest, FailedOpenReleasesItsCheckout) {
+  const CellViewKey key{"alu", "schematic"};
+  ASSERT_TRUE(alice->checkout(key).ok());
+  ASSERT_TRUE(alice->write_working(key, "not a design file").ok());
+  ASSERT_TRUE(alice->checkin(key).ok());
+  {
+    ToolSession session(alice.get(), &tool, &bus, &interp);
+    EXPECT_EQ(session.open(key, false).code(), Errc::parse_error);
+  }
+  EXPECT_FALSE(library->meta().find_cellview(key)->checkout.has_value());
 }
 
 TEST_F(ToolSessionTest, ViewtypeMismatchRefused) {

@@ -168,6 +168,47 @@ TEST(Strings, SplitWsDropsEmpty) {
   EXPECT_TRUE(split_ws("   ").empty());
 }
 
+// The tokenizer yields the lines and fields split + trim + split_ws
+// give, minus the empty line split reports after a final '\n'.
+TEST(Strings, LineTokenizerMatchesSplitTrimSplitWs) {
+  for (const std::string text :
+       {"", "\n", "a b\n", "a b", "  port\tp  in \r\n\n# c\n  \nnet x", "x\n\ny\n",
+        "r a 1 2 3 4 5 6 7 8 9 10"}) {
+    auto lines = split(text, '\n');
+    if (!text.empty() && text.back() == '\n') lines.pop_back();
+    if (text.empty()) lines.clear();
+    LineTokenizer t(text);
+    for (const auto& raw : lines) {
+      ASSERT_TRUE(t.next()) << text;
+      EXPECT_EQ(t.line(), trim(raw));
+      const auto fields = split_ws(raw);
+      ASSERT_EQ(t.size(), fields.size()) << raw;
+      for (std::size_t i = 0; i < std::min(fields.size(), LineTokenizer::kMaxFields); ++i) {
+        EXPECT_EQ(t[i], fields[i]);
+      }
+    }
+    EXPECT_FALSE(t.next()) << text;
+  }
+  LineTokenizer t("head\npayload\nrest of\n text");
+  ASSERT_TRUE(t.next());
+  ASSERT_TRUE(t.next());
+  EXPECT_EQ(t.line(), "payload");
+  EXPECT_EQ(t.rest(), "rest of\n text");
+}
+
+TEST(Strings, ParseNumbersLeaveTargetUntouchedOnFailure) {
+  std::int64_t n = 7;
+  for (const char* bad : {"", "12abc", "x", "1 ", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_integer(bad, n)) << bad;
+    EXPECT_EQ(n, 7) << bad;
+  }
+  EXPECT_TRUE(parse_integer("-42", n));
+  EXPECT_EQ(n, -42);
+  double d = 1.5;
+  EXPECT_FALSE(parse_real("2.5x", d));
+  EXPECT_EQ(d, 1.5);
+}
+
 TEST(Strings, JoinAndTrim) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");

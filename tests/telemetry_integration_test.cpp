@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "jfm/coupling/desktop.hpp"
 #include "jfm/support/telemetry.hpp"
+#include "jfm/workload/generators.hpp"
 
 namespace jfm::coupling {
 namespace {
@@ -200,6 +203,56 @@ TEST_F(TelemetryIntegrationTest, ExportLatencyHistogramTracksExports) {
   ASSERT_TRUE(hybrid.open_read_only("proj", "top", "schematic", alice).ok());
   const auto stats_after = hybrid.transfer().stats_snapshot();
   EXPECT_EQ(h.count() - before, stats_after.exports - stats_before.exports);
+}
+
+// A tool session parses the payload once, at its first edit, and
+// serializes it once, at save -- however many edits run in between.
+// Per-command reparsing (one parse and one serialize per edit) fails
+// this test.
+TEST_F(TelemetryIntegrationTest, SchematicActivityParsesAndSerializesOnce) {
+  support::Rng rng(3);
+  const tools::Schematic leaf = workload::random_schematic(rng, 16);
+  std::vector<ToolCommand> entry;
+  for (const auto& p : leaf.ports) {
+    entry.push_back({"add-port", {p.name, std::string(tools::to_string(p.dir))}});
+  }
+  for (const auto& n : leaf.nets) {
+    if (leaf.find_port(n) == nullptr) entry.push_back({"add-net", {n}});
+  }
+  for (const auto& g : leaf.primitives) entry.push_back({"add-prim", {g.name, g.gate}});
+  for (const auto& c : leaf.connections) entry.push_back({"connect", {c.net, c.element, c.pin}});
+  ASSERT_TRUE(hybrid.create_cell("proj", "leaf", alice).ok());
+  ASSERT_TRUE(hybrid.reserve_cell("proj", "leaf", alice).ok());
+  auto first = hybrid.run_activity("proj", "leaf", "enter_schematic", alice, entry);
+  ASSERT_TRUE(first.ok()) << first.error().to_text();
+
+  // 8 disconnect/connect pairs: 16 edits on the stored netlist.
+  std::vector<ToolCommand> rewire;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto& c = leaf.connections[i];
+    rewire.push_back({"disconnect", {c.net, c.element, c.pin}});
+    rewire.push_back({"connect", {c.net, c.element, c.pin}});
+  }
+  auto& registry = telemetry::Registry::global();
+  auto& parses = registry.counter("tools.document.parse.count");
+  auto& serializations = registry.counter("tools.document.serialize.count");
+  const std::uint64_t parses_before = parses.value();
+  const std::uint64_t serializations_before = serializations.value();
+  auto& tracer = telemetry::Tracer::global();
+  tracer.enable();
+  auto run = hybrid.run_activity("proj", "leaf", "enter_schematic", alice, rewire);
+  tracer.disable();
+  ASSERT_TRUE(run.ok()) << run.error().to_text();
+  EXPECT_EQ(parses.value() - parses_before, 1u);
+  EXPECT_EQ(serializations.value() - serializations_before, 1u);
+
+  std::map<std::string, int> tool_spans;
+  for (const auto& span : tracer.snapshot()) {
+    if (span.subsystem == "tools") ++tool_spans[span.name];
+  }
+  EXPECT_EQ(tool_spans["open"], 1);
+  EXPECT_EQ(tool_spans["edit"], 16);
+  EXPECT_EQ(tool_spans["save"], 1);
 }
 
 }  // namespace
