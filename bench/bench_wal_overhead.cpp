@@ -1,8 +1,7 @@
 // Durable-OMS commit-path tax (docs/persistence.md): what does the
-// write-ahead log cost per committed transaction, and how much of that
-// does group commit buy back?
+// write-ahead log cost per committed transaction?
 //
-// Three modes run the byte-identical seeded workload -- transactions
+// Two modes run the byte-identical seeded workload -- transactions
 // of ~8 mutations shaped like a JCF check-in commit: create a fresh
 // version object, stamp integer attributes, write ~96-byte text
 // blobs (tool-invocation argument strings -- OMS attributes hold
@@ -11,14 +10,12 @@
 // mutation sequence:
 //   * off       -- StoreOptions durability off, the paper's volatile
 //                  store and the bit-identical ablation baseline;
-//   * wal       -- durability on, group_commit=1: every commit encodes
-//                  its record AND appends it to the journal;
-//   * wal_group -- durability on, group_commit=32: commits encode
-//                  eagerly but the append amortizes over 32 commits.
+//   * wal       -- durability on: every commit encodes its record AND
+//                  appends it to the journal.
 // The report prints ns/commit per mode plus the journal bytes and
 // flush count; JFM_WAL / JFM_WAL_META lines feed
 // scripts/run_benches.py, which gates --check-wal-overhead on the
-// group-commit mode staying within 15% of the volatile baseline.
+// wal mode staying within 15% of the volatile baseline.
 
 #include <chrono>
 #include <cstdio>
@@ -39,7 +36,6 @@ using oms::AttrValue;
 
 constexpr std::size_t kPoolSize = 64;
 constexpr std::size_t kCommits = 4000;
-constexpr std::size_t kGroup = 32;
 
 oms::Schema wal_schema() {
   oms::Schema schema;
@@ -54,23 +50,13 @@ oms::Schema wal_schema() {
   return schema;
 }
 
-enum class Mode { off, wal, wal_group };
+enum class Mode { off, wal };
 
-const char* mode_name(Mode mode) {
-  switch (mode) {
-    case Mode::off: return "off";
-    case Mode::wal: return "wal";
-    case Mode::wal_group: return "wal_group";
-  }
-  return "?";
-}
+const char* mode_name(Mode mode) { return mode == Mode::off ? "off" : "wal"; }
 
 oms::StoreOptions options_for(Mode mode) {
   oms::StoreOptions opts;
-  if (mode != Mode::off) {
-    opts.durability = oms::StoreOptions::Durability::wal;
-    opts.wal_group_commit = mode == Mode::wal_group ? kGroup : 1;
-  }
+  if (mode != Mode::off) opts.durability = oms::StoreOptions::Durability::wal;
   return opts;
 }
 
@@ -139,27 +125,26 @@ RunResult run_mode(Mode mode, std::size_t commits) {
 }
 
 void print_report() {
-  benchutil::header("durable OMS: WAL overhead per commit (off / wal / group)");
+  benchutil::header("durable OMS: WAL overhead per commit (off / wal)");
   auto& registry = support::telemetry::Registry::global();
   char line[256];
-  std::uint64_t wall[3] = {0, 0, 0};
+  std::uint64_t wall[2] = {0, 0};
   // Warm up every mode first, then interleave the timed repetitions
-  // round-robin across modes: a load spike on a shared box hits all
-  // three modes instead of skewing one side of the overhead ratio, and
-  // the per-mode minimum over 9 reps converges on the quiet-machine
-  // cost.
-  RunResult best[3];
-  for (Mode mode : {Mode::off, Mode::wal, Mode::wal_group}) {
+  // round-robin across modes: a load spike on a shared box hits both
+  // modes instead of skewing one side of the overhead ratio, and the
+  // per-mode minimum over 9 reps converges on the quiet-machine cost.
+  RunResult best[2];
+  for (Mode mode : {Mode::off, Mode::wal}) {
     (void)run_mode(mode, kCommits / 4);  // warmup: page in both paths
   }
   for (int rep = 0; rep < 9; ++rep) {
-    for (Mode mode : {Mode::off, Mode::wal, Mode::wal_group}) {
+    for (Mode mode : {Mode::off, Mode::wal}) {
       RunResult r = run_mode(mode, kCommits);
       RunResult& b = best[static_cast<int>(mode)];
       if (b.wall_us == 0 || r.wall_us < b.wall_us) b = r;
     }
   }
-  for (Mode mode : {Mode::off, Mode::wal, Mode::wal_group}) {
+  for (Mode mode : {Mode::off, Mode::wal}) {
     const RunResult& b = best[static_cast<int>(mode)];
     wall[static_cast<int>(mode)] = b.wall_us;
     const std::uint64_t ns_per_commit = b.wall_us * 1000 / kCommits;
@@ -181,13 +166,9 @@ void print_report() {
   }
   const double base = static_cast<double>(wall[0] == 0 ? 1 : wall[0]);
   const double overhead_wal = (static_cast<double>(wall[1]) - base) / base;
-  const double overhead_group = (static_cast<double>(wall[2]) - base) / base;
-  std::snprintf(line, sizeof(line),
-                "overhead vs off: wal %+.1f%%  wal_group %+.1f%% (group=%zu)",
-                overhead_wal * 100.0, overhead_group * 100.0, kGroup);
+  std::snprintf(line, sizeof(line), "overhead vs off: wal %+.1f%%", overhead_wal * 100.0);
   benchutil::row(line);
-  std::printf("JFM_WAL_META commits=%zu group=%zu overhead_wal=%.4f overhead_group=%.4f\n",
-              kCommits, kGroup, overhead_wal, overhead_group);
+  std::printf("JFM_WAL_META commits=%zu overhead_wal=%.4f\n", kCommits, overhead_wal);
 }
 
 // -- google-benchmark micro-timings ----------------------------------------
@@ -210,7 +191,7 @@ void BM_Commit(benchmark::State& state) {
     if (!store.commit().ok()) std::abort();
   }
 }
-BENCHMARK(BM_Commit)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Commit)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

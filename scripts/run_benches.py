@@ -50,10 +50,10 @@ registry snapshot (counters / gauges / histograms). This harness:
    walking everything. Core-independent: both sides run
    single-threaded over the same churn event;
 10. with ``--check-wal-overhead``, gates on the durable-OMS bench
-   (docs/persistence.md): the group-commit WAL mode must keep its
-   commit-path wall-time within ``--max-wal-overhead`` (default 15%)
-   of the ``durability=off`` ablation. Core-independent: all three
-   modes run the byte-identical single-threaded mutation sequence, so
+   (docs/persistence.md): the ``wal`` mode, which appends every commit
+   to the journal, must keep its commit-path wall-time within
+   ``--max-wal-overhead`` (default 15%) of the ``durability=off``
+   ablation. Core-independent: both modes run the byte-identical single-threaded mutation sequence, so
    the ratio measures only the journalling tax.
 
 Every blob additionally carries an ``executor`` section -- the
@@ -112,8 +112,7 @@ WAL_RE = re.compile(
     r"^JFM_WAL\s+mode=(\w+)\s+commits=(\d+)\s+wall_us=(\d+)\s+ns_per_commit=(\d+)"
     r"\s+wal_bytes=(\d+)\s+flushes=(\d+)\s*$")
 WAL_META_RE = re.compile(
-    r"^JFM_WAL_META\s+commits=(\d+)\s+group=(\d+)\s+overhead_wal=(-?[\d.]+)"
-    r"\s+overhead_group=(-?[\d.]+)\s*$")
+    r"^JFM_WAL_META\s+commits=(\d+)\s+overhead_wal=(-?[\d.]+)\s*$")
 
 
 def discover(build_dir):
@@ -268,9 +267,7 @@ def parse_output(text):
         if m:
             wal_meta = {
                 "commits": int(m.group(1)),
-                "group": int(m.group(2)),
-                "overhead_wal": float(m.group(3)),
-                "overhead_group": float(m.group(4)),
+                "overhead_wal": float(m.group(2)),
             }
     return (metrics, rows, meta, query_rows, query_meta, fault_rows, fault_meta,
             cow_rows, cow_meta, incr_rows, incr_meta, wal_rows, wal_meta)
@@ -323,11 +320,11 @@ def main():
                         help="required 1%%-churn delta-vs-full-walk wall-time ratio "
                              "(default: 5.0)")
     parser.add_argument("--check-wal-overhead", action="store_true",
-                        help="fail unless the durable store with group commit stays "
-                             "within --max-wal-overhead of the volatile (durability "
+                        help="fail unless the durable store (one journal append "
+                             "per commit) stays within --max-wal-overhead of the volatile (durability "
                              "off) baseline on the WAL bench's commit workload")
     parser.add_argument("--max-wal-overhead", type=float, default=0.15,
-                        help="allowed group-commit wall-time overhead ratio vs the "
+                        help="allowed wal-mode wall-time overhead ratio vs the "
                              "durability-off baseline (default: 0.15 = 15%%)")
     parser.add_argument("--fault-overhead-slack-us", type=int, default=500,
                         help="absolute noise allowance on top of the ratio, in "
@@ -502,21 +499,18 @@ def main():
     if args.check_wal_overhead:
         if wal_meta is None:
             failures.append("wal gate: no JFM_WAL_META output found")
-        elif wal_meta["overhead_group"] > args.max_wal_overhead:
-            group_row = next((r for r in wal_rows if r["mode"] == "wal_group"), None)
-            detail = (f" (wal_group {group_row['ns_per_commit']} ns/commit)"
-                      if group_row else "")
+        elif wal_meta["overhead_wal"] > args.max_wal_overhead:
+            wal_row = next((r for r in wal_rows if r["mode"] == "wal"), None)
+            detail = (f" (wal {wal_row['ns_per_commit']} ns/commit)"
+                      if wal_row else "")
             failures.append(
-                f"wal gate: group-commit overhead "
-                f"{wal_meta['overhead_group']:.1%} vs durability-off baseline "
-                f"exceeds {args.max_wal_overhead:.0%}"
-                f" (group={wal_meta['group']}){detail}")
+                f"wal gate: wal overhead "
+                f"{wal_meta['overhead_wal']:.1%} vs durability-off baseline "
+                f"exceeds {args.max_wal_overhead:.0%}{detail}")
         else:
             print(f"run_benches: wal gate ok "
-                  f"(group-commit overhead {wal_meta['overhead_group']:.1%} <= "
-                  f"{args.max_wal_overhead:.0%}, "
-                  f"plain wal {wal_meta['overhead_wal']:.1%}, "
-                  f"group={wal_meta['group']})")
+                  f"(wal overhead {wal_meta['overhead_wal']:.1%} <= "
+                  f"{args.max_wal_overhead:.0%})")
 
     if args.check_fault_overhead:
         workers = fault_meta["workers"] if fault_meta else 4

@@ -111,8 +111,6 @@ struct ExportRequest {
 class TransferEngine {
  public:
   TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs, vfs::Path transfer_dir,
-                 bool copy_through_filesystem);
-  TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs, vfs::Path transfer_dir,
                  TransferOptions options);
   ~TransferEngine();
   TransferEngine(const TransferEngine&) = delete;
@@ -152,7 +150,6 @@ class TransferEngine {
   /// Coherent copy of the counters; safe at any time, even while
   /// batches and imports are in flight.
   TransferStats stats_snapshot() const;
-  void reset_stats();
   bool copies_through_filesystem() const noexcept {
     return options_.copy_through_filesystem;
   }
@@ -195,7 +192,13 @@ class TransferEngine {
   support::Status export_with_retry(jcf::DovRef dov, jcf::UserRef reader, const vfs::Path& dst,
                                     std::chrono::steady_clock::time_point deadline,
                                     bool has_deadline);
+  /// The one export pipeline (caller holds the engine lock shared):
+  /// cache probe by fingerprint (cache on), fetch, count, publish
+  /// staged or direct, count physical bytes, cache_store (cache on).
   support::Status export_shared(jcf::DovRef dov, jcf::UserRef reader, const vfs::Path& dst);
+  /// Bytes a transfer of `size` logical bytes duplicates physically:
+  /// 0 under COW extents, else 2x size staged or 1x size direct.
+  std::uint64_t physical_bytes(std::uint64_t size) const;
   /// True when (dov, dst) is cached with `hash` and dst still holds
   /// those bytes. Takes cache_mu_; caller holds the engine lock
   /// (shared is enough).
@@ -212,7 +215,7 @@ class TransferEngine {
   std::uint64_t listener_token_ = 0;
 
   // mu_ is the engine's reader-writer gate: exports hold it shared,
-  // import_file (and reset_stats) exclusively. cache_mu_ guards only
+  // import_file exclusively. cache_mu_ guards only
   // the cache map so the jcf invalidation hook (which may fire while
   // mu_ is held by an import on this or another engine) never needs
   // mu_. Lock order: mu_ before cache_mu_, never the reverse.

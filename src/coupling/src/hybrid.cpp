@@ -989,47 +989,26 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
   std::vector<JournalEntry> journal;
   {
     JFM_SPAN("coupling", "checkout_journal");
-    // Captures are pure reads (peek / exists / extent pin), so with
-    // workers > 1 they fan out on the shared executor. Per-index slots
-    // compacted in request order keep the journal -- and therefore the
-    // rollback replay -- byte-identical to the sequential capture.
-    auto capture = [&](const ExportRequest& req,
-                       std::optional<JournalEntry>& slot) -> Status {
-      if (transfer_->peek_cached(req.dov, req.dst)) return {};
-      JournalEntry entry{req.dst, fs_.exists(req.dst), {}};
-      if (entry.existed) {
-        auto pre = fs_.read_extent(req.dst);
-        if (!pre.ok()) return Status(pre.error());
-        entry.pre_image = std::move(*pre);
-      }
-      slot = std::move(entry);
-      return {};
-    };
+    // Captures are pure reads (peek / exists / extent pin), so they fan
+    // out on the shared executor. Per-index slots compacted in request
+    // order keep the journal -- and therefore the rollback replay --
+    // byte-identical across worker counts; the lowest-index failure
+    // aborts the checkout.
     std::vector<std::optional<JournalEntry>> slots(requests.size());
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (auto st = capture(requests[i], slots[i]); !st.ok()) {
-          return st.error();
-        }
-      }
-    } else {
-      std::mutex err_mu;
-      std::size_t err_index = requests.size();
-      std::optional<support::Error> first_error;
-      support::executor::Executor::global().parallel_for(
-          requests.size(), workers, [&](std::size_t i) {
-            if (auto st = capture(requests[i], slots[i]); !st.ok()) {
-              std::lock_guard<std::mutex> lock(err_mu);
-              // Keep the lowest-index failure so the reported error does
-              // not depend on lane interleaving.
-              if (i < err_index) {
-                err_index = i;
-                first_error = st.error();
-              }
-            }
-          });
-      if (first_error) return *first_error;
-    }
+    auto captured = support::executor::Executor::global().parallel_for(
+        requests.size(), workers, [&](std::size_t i) -> Status {
+          const ExportRequest& req = requests[i];
+          if (transfer_->peek_cached(req.dov, req.dst)) return {};
+          JournalEntry entry{req.dst, fs_.exists(req.dst), {}};
+          if (entry.existed) {
+            auto pre = fs_.read_extent(req.dst);
+            if (!pre.ok()) return Status(pre.error());
+            entry.pre_image = std::move(*pre);
+          }
+          slots[i] = std::move(entry);
+          return {};
+        });
+    if (!captured.ok()) return captured.error();
     journal.reserve(slots.size());
     for (auto& slot : slots) {
       if (slot) journal.push_back(std::move(*slot));

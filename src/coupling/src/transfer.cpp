@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "jfm/support/executor.hpp"
@@ -54,12 +55,14 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
 bool retryable(Errc code) noexcept {
   return code == Errc::io_error || code == Errc::locked;
 }
-}  // namespace
 
-TransferEngine::TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs,
-                               vfs::Path transfer_dir, bool copy_through_filesystem)
-    : TransferEngine(jcf, fs, std::move(transfer_dir),
-                     TransferOptions{.copy_through_filesystem = copy_through_filesystem}) {}
+/// The cow-off ablation's import read: a private copy of the file's
+/// bytes, wrapped as the extent the store takes.
+Result<vfs::Extent> materialized(Result<std::string> bytes) {
+  if (!bytes.ok()) return Result<vfs::Extent>::failure(bytes.error().code, bytes.error().message);
+  return vfs::make_extent(std::move(*bytes));
+}
+}  // namespace
 
 TransferEngine::TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs,
                                vfs::Path transfer_dir, TransferOptions options)
@@ -198,142 +201,107 @@ Status TransferEngine::export_with_retry(jcf::DovRef dov, jcf::UserRef reader,
   }
 }
 
+std::uint64_t TransferEngine::physical_bytes(std::uint64_t size) const {
+  // Analytic physical mirror: staged transfers land the payload twice
+  // (staging file + destination), direct ones once, COW-shared ones
+  // never.
+  if (fs_->options().cow_extents) return 0;
+  return options_.copy_through_filesystem ? 2 * size : size;
+}
+
 Status TransferEngine::export_shared(jcf::DovRef dov, jcf::UserRef reader,
                                      const vfs::Path& dst) {
-  // Caller holds the engine lock (shared is enough): the OMS read, the
-  // hash and the staging copies below all run concurrently across
-  // export workers -- the store and the file system carry their own
+  // Caller holds the engine lock (shared is enough): the OMS read and
+  // the staging copies below all run concurrently across export
+  // workers -- the store and the file system carry their own
   // reader-writer locks.
   //
   // The payload travels as an extent: a refcount on the buffer the OMS
   // store already owns. With the file system sharing extents a COLD
   // export physically moves zero bytes end to end -- write_extent and
-  // copy_file are refcount bumps -- while the logical accounting below
-  // still charges the full payload, keeping the s3.6 tables comparable.
+  // copy_file are refcount bumps -- while the logical accounting still
+  // charges the full payload, keeping the s3.6 tables comparable.
   // Under the cow-off ablation write_extent/copy_file clone internally,
   // restoring the paper's real byte movement.
   static auto& exports = xfer_counter("export.count");
   static auto& export_bytes = xfer_counter("export.bytes");
   static auto& export_physical = xfer_counter("export.physical.bytes");
-  if (options_.content_addressed_cache) {
-    // Zero-rehash path: probe the cache with the DOV's FINGERPRINT --
-    // the hash memoized by the OMS store and the payload size -- so a
-    // warm export never reads, and never re-hashes, a single payload
-    // byte. The same visibility rules apply (dov_fingerprint shares
-    // dov_extent's gate); the export still counts its full logical
-    // size, keeping the 4x cache tables comparable.
-    auto fp = jcf_->dov_fingerprint(dov, reader);
-    if (!fp.ok()) return Status(fp.error());
-    const std::uint64_t size = fp->size;
+  auto count_export = [&](std::uint64_t size) {
     stats_.exports.fetch_add(1, kRelaxed);
     stats_.bytes_exported.fetch_add(size, kRelaxed);
     exports.add(1);
     export_bytes.add(size);
-    const std::uint64_t physical =
-        fs_->options().cow_extents ? 0
-                                   : (options_.copy_through_filesystem ? 2 * size : size);
-    if (cache_probe(dov, dst, fp->content_hash, size)) return {};  // dst already current
-    // Miss: fetch the payload once, WITH its hash, and publish it
-    // hash-seeded -- content_hash(dst) is O(1) from the very first
-    // probe, and copy_file propagates the memo to the destination.
-    auto data = jcf_->dov_extent_hashed(dov, reader);
-    if (!data.ok()) return Status(data.error());
-    Status st;
-    if (options_.copy_through_filesystem) {
-      vfs::Path stage = staging_file("out");
-      if (auto ws = fs_->write_extent_hashed(stage, data->text, data->hash); !ws.ok()) {
-        return ws;
-      }
-      stats_.staging_copies.fetch_add(1, kRelaxed);
-      xfer_counter("staging.count").add(1);
-      st = fs_->copy_file(stage, dst);
-      (void)fs_->remove(stage);
-    } else {
-      st = fs_->write_extent_hashed(dst, std::move(data->text), data->hash);
+  };
+  // Probe the cache with the DOV's FINGERPRINT -- the hash memoized by
+  // the OMS store and the payload size -- so a warm export never reads,
+  // and never re-hashes, a single payload byte. The same visibility
+  // rules apply (dov_fingerprint shares dov_extent's gate); a hit still
+  // counts its full logical size. DOVs are immutable, so the probed
+  // hash is the hash of the extent fetched below: the publish seeds the
+  // file system's memo with it, and content_hash(dst) is O(1) from the
+  // very first probe (copy_file propagates the memo to dst). Without
+  // the cache nothing ever asks for the hash, so none is computed.
+  const bool cached = options_.content_addressed_cache;
+  std::optional<std::uint64_t> hash;
+  if (cached) {
+    auto fp = jcf_->dov_fingerprint(dov, reader);
+    if (!fp.ok()) return Status(fp.error());
+    if (cache_probe(dov, dst, fp->content_hash, fp->size)) {
+      count_export(fp->size);
+      return {};  // dst already current
     }
-    if (st.ok()) {
-      stats_.bytes_exported_physical.fetch_add(physical, kRelaxed);
-      export_physical.add(physical);
-      cache_store(dov, dst, data->hash, size);
-    }
-    return st;
+    hash = fp->content_hash;
   }
-  // Cache-off ablation: the original extent pipeline, untouched.
-  auto data = jcf_->dov_extent(dov, reader);
-  if (!data.ok()) return Status(data.error());
-  const std::uint64_t size = (*data)->size();
-  stats_.exports.fetch_add(1, kRelaxed);
-  stats_.bytes_exported.fetch_add(size, kRelaxed);
-  exports.add(1);
-  export_bytes.add(size);
-  // Analytic physical mirror: staged transfers land the payload twice
-  // (stage + destination), direct ones once, COW-shared ones never.
-  const std::uint64_t physical =
-      fs_->options().cow_extents ? 0 : (options_.copy_through_filesystem ? 2 * size : size);
+  auto fetched = jcf_->dov_extent(dov, reader);
+  if (!fetched.ok()) return Status(fetched.error());
+  oms::TextExtent text = std::move(*fetched);
+  const std::uint64_t size = text->size();
+  count_export(size);
+  // Publish: staged through the transfer directory (the payload
+  // crosses the file system twice, as in the paper) or direct.
   Status st;
   if (options_.copy_through_filesystem) {
-    // Stage in the transfer directory, then copy to the destination --
-    // the payload crosses the file system twice, as in the paper.
     vfs::Path stage = staging_file("out");
-    if (auto ws = fs_->write_extent(stage, *data); !ws.ok()) return ws;
+    if (auto ws = fs_->write_extent(stage, text, hash); !ws.ok()) return ws;
     stats_.staging_copies.fetch_add(1, kRelaxed);
     xfer_counter("staging.count").add(1);
     st = fs_->copy_file(stage, dst);
     (void)fs_->remove(stage);
   } else {
-    st = fs_->write_extent(dst, std::move(*data));
+    st = fs_->write_extent(dst, std::move(text), hash);
   }
-  if (st.ok()) {
-    stats_.bytes_exported_physical.fetch_add(physical, kRelaxed);
-    export_physical.add(physical);
-  }
-  return st;
+  if (!st.ok()) return st;
+  stats_.bytes_exported_physical.fetch_add(physical_bytes(size), kRelaxed);
+  export_physical.add(physical_bytes(size));
+  if (cached) cache_store(dov, dst, *hash, size);
+  return {};
 }
 
 std::vector<Status> TransferEngine::export_batch(std::span<const ExportRequest> items,
                                                  std::size_t workers,
                                                  std::uint64_t timeout_us) {
-  telemetry::ScopedSpan batch("coupling", "transfer.export_batch");
+  JFM_SPAN("coupling", "transfer.export_batch");
   std::vector<Status> results(items.size());
-  if (items.empty()) return results;
   // Per-batch deadline: items (and retries) that would START after it
   // fail with Errc::timeout. A running attempt is never interrupted, so
   // each file stays all-or-nothing even in a timed-out batch.
   const bool has_deadline = timeout_us > 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
-  const std::size_t pool = std::min(workers == 0 ? std::size_t{1} : workers, items.size());
-  if (pool == 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      results[i] =
-          export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  // Lanes run on the persistent executor pool instead of freshly
-  // spawned threads; they start with an empty span context, so their
-  // spans parent to the batch span explicitly to keep a single tree.
-  const std::uint64_t batch_span = batch.id();
-  auto lane_body = [&]() {
-    telemetry::ScopedSpan lane("coupling", "transfer.worker", batch_span);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items.size()) return;
-      // Each lane owns its result slot; lanes share the engine's
-      // reader lock and the store/fs reader locks underneath, so the
-      // payload work of distinct items genuinely overlaps.
-      results[i] =
-          export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
-    }
-  };
-  // `pool` (the workers knob, preserved for the ablation) caps the
-  // LOGICAL lane count; the executor's size caps real parallelism.
-  // run_lanes executes one lane on this thread and helps until the
-  // submitted lanes finish, so a saturated pool can never deadlock
-  // and per-item fault decisions stay interleaving-invariant
+  // `workers` (the knob, preserved for the ablation) caps the LOGICAL
+  // lane count; the executor's size caps real parallelism. Each lane
+  // owns its result slots and reports ok to the fan-out, so a failed
+  // item never stops its siblings: every item gets its own status.
+  // Lanes share the engine's reader lock and the store/fs reader locks
+  // underneath, so the payload work of distinct items overlaps, and
+  // per-item fault decisions stay interleaving-invariant
   // (docs/fault-injection.md).
-  support::executor::Executor::global().run_lanes(pool, lane_body);
+  (void)support::executor::Executor::global().parallel_for(
+      items.size(), workers, [&](std::size_t i) -> Status {
+        results[i] = export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline,
+                                       has_deadline);
+        return {};
+      });
   return results;
 }
 
@@ -384,34 +352,23 @@ Result<jcf::DovRef> TransferEngine::import_file(const vfs::Path& src,
   // import physically moves zero bytes. The ablation takes the
   // materializing path instead (read a private copy, hand it to the
   // store), which is exactly what the old string pipeline did.
-  const bool cow = fs_->options().cow_extents;
-  oms::TextExtent payload;
-  if (cow) {
-    auto data = fs_->read_extent(read_from);
-    if (options_.copy_through_filesystem) (void)fs_->remove(stage);
-    if (!data.ok()) {
-      return Result<jcf::DovRef>::failure(data.error().code, data.error().message);
-    }
-    payload = std::move(*data);
-  } else {
-    auto data = fs_->read_file(read_from);
-    if (options_.copy_through_filesystem) (void)fs_->remove(stage);
-    if (!data.ok()) {
-      return Result<jcf::DovRef>::failure(data.error().code, data.error().message);
-    }
-    payload = std::make_shared<const std::string>(std::move(*data));
+  auto data = fs_->options().cow_extents ? fs_->read_extent(read_from)
+                                         : materialized(fs_->read_file(read_from));
+  if (options_.copy_through_filesystem) (void)fs_->remove(stage);
+  if (!data.ok()) {
+    return Result<jcf::DovRef>::failure(data.error().code, data.error().message);
   }
+  oms::TextExtent payload = std::move(*data);
   const std::uint64_t size = payload->size();
   stats_.imports.fetch_add(1, kRelaxed);
   stats_.bytes_imported.fetch_add(size, kRelaxed);
-  stats_.bytes_imported_physical.fetch_add(
-      cow ? 0 : (options_.copy_through_filesystem ? 2 * size : size), kRelaxed);
+  stats_.bytes_imported_physical.fetch_add(physical_bytes(size), kRelaxed);
   static auto& imports = xfer_counter("import.count");
   static auto& import_bytes = xfer_counter("import.bytes");
   static auto& import_physical = xfer_counter("import.physical.bytes");
   imports.add(1);
   import_bytes.add(size);
-  import_physical.add(cow ? 0 : (options_.copy_through_filesystem ? 2 * size : size));
+  import_physical.add(physical_bytes(size));
   // create_dov fires the version-change listeners, which invalidate the
   // superseded cache entries (ours and any sibling engine's).
   return jcf_->create_dov(dobj, std::move(payload), writer);
@@ -436,25 +393,6 @@ TransferStats TransferEngine::stats_snapshot() const {
   s.retries = stats_.retries.load(kRelaxed);
   s.timeouts = stats_.timeouts.load(kRelaxed);
   return s;
-}
-
-void TransferEngine::reset_stats() {
-  // Quiesce the engine so a reset never interleaves mid-transfer.
-  std::unique_lock lock(mu_);
-  stats_.exports.store(0, kRelaxed);
-  stats_.imports.store(0, kRelaxed);
-  stats_.bytes_exported.store(0, kRelaxed);
-  stats_.bytes_imported.store(0, kRelaxed);
-  stats_.bytes_exported_physical.store(0, kRelaxed);
-  stats_.bytes_imported_physical.store(0, kRelaxed);
-  stats_.staging_copies.store(0, kRelaxed);
-  stats_.cache_hits.store(0, kRelaxed);
-  stats_.cache_misses.store(0, kRelaxed);
-  stats_.cache_evictions.store(0, kRelaxed);
-  stats_.cache_invalidations.store(0, kRelaxed);
-  stats_.bytes_saved.store(0, kRelaxed);
-  stats_.retries.store(0, kRelaxed);
-  stats_.timeouts.store(0, kRelaxed);
 }
 
 std::size_t TransferEngine::cache_size() const {

@@ -193,13 +193,6 @@ class JcfFramework {
   /// materialized. DOVs are immutable once created, so the extent is
   /// bit-stable for as long as the caller holds it.
   support::Result<oms::TextExtent> dov_extent(DovRef dov, UserRef reader);
-  /// dov_extent plus the payload's memoized FNV-1a hash
-  /// (oms::Store::get_text_extent_hashed): the transfer layer's
-  /// cache-miss path gets everything it needs to publish the file AND
-  /// seed the file system's hash memo without an extra payload pass.
-  /// Same visibility rules and the same logical read accounting as
-  /// dov_extent.
-  support::Result<oms::HashedText> dov_extent_hashed(DovRef dov, UserRef reader);
   /// Constant-size payload summary: memoized content hash + size.
   struct DovFingerprint {
     std::uint64_t content_hash = 0;
@@ -326,7 +319,7 @@ class JcfFramework {
   friend struct FrameworkPrivate;  // shared helpers across the .cpp files
 
   /// Shared visibility gate of every DOV read path (dov_extent,
-  /// dov_extent_hashed, dov_fingerprint): published data is visible to
+  /// dov_fingerprint): published data is visible to
   /// everyone, unpublished data only to the workspace holder. Counts
   /// the denial when it fails.
   support::Status check_dov_visibility(DovRef dov, UserRef reader);

@@ -230,27 +230,6 @@ Result<oms::TextExtent> JcfFramework::dov_extent(DovRef dov, UserRef reader) {
   return data;
 }
 
-Result<oms::HashedText> JcfFramework::dov_extent_hashed(DovRef dov, UserRef reader) {
-  JFM_SPAN("jcf", "dov_data");
-  if (auto st = check_dov_visibility(dov, reader); !st.ok()) {
-    return Result<oms::HashedText>::failure(st.error().code, st.error().message);
-  }
-  // Same read semantics and accounting as dov_extent; the store throws
-  // in the buffer's memoized hash (computed at most once per DOV --
-  // DOVs are immutable).
-  JFM_SPAN("oms", "read_blob");
-  auto data = store_.get_text_extent_hashed(dov.id, "data");
-  if (data.ok()) {
-    static auto& reads = telemetry::Registry::global().counter("jcf.dov.read.count");
-    static auto& bytes = telemetry::Registry::global().counter("jcf.dov.read.bytes");
-    reads.add(1);
-    bytes.add(data->text->size());
-    ws_stats_.dov_read_bytes_logical.fetch_add(data->text->size(),
-                                               std::memory_order_relaxed);
-  }
-  return data;
-}
-
 Result<JcfFramework::DovFingerprint> JcfFramework::dov_fingerprint(DovRef dov,
                                                                    UserRef reader) {
   JFM_SPAN("jcf", "dov_fingerprint");

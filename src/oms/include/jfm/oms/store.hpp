@@ -90,16 +90,6 @@ using ObjectId = support::Id<ObjectTag>;
 /// mutates it, so a handed-out extent stays bit-stable forever.
 using TextExtent = std::shared_ptr<const std::string>;
 
-/// A text extent together with the FNV-1a hash of its bytes. This is
-/// what the zero-rehash warm path rides on: the store memoizes the
-/// hash per immutable buffer, so the transfer layer can publish the
-/// payload AND seed the file system's content-hash memo without ever
-/// re-reading the bytes (docs/transfer-cache.md).
-struct HashedText {
-  TextExtent text;
-  std::uint64_t hash = 0;
-};
-
 /// Constant-size summary of a text attribute -- exactly what a
 /// content-addressed cache probe needs, with no payload access at all.
 struct TextFingerprint {
@@ -122,16 +112,6 @@ struct StoreOptions {
   /// redo record per committed transaction.
   enum class Durability { off, wal };
   Durability durability = Durability::off;
-
-  /// Commit records buffered before one vfs append flushes them all
-  /// (group commit). 1 flushes every commit; larger values amortize
-  /// the fsync-analog append, trading a bounded committed-but-
-  /// unflushed window a crash can lose (committed-prefix semantics).
-  std::size_t wal_group_commit = 1;
-
-  /// Write a full snapshot (and truncate the WAL) every N committed
-  /// records; 0 snapshots only on explicit snapshot() calls.
-  std::uint64_t snapshot_every = 0;
 };
 
 class Store {
@@ -166,14 +146,12 @@ class Store {
   /// (a refcount bump, no byte traffic). The extent is immutable; a
   /// later set() on the attribute installs a new one.
   support::Result<TextExtent> get_text_extent(ObjectId id, std::string_view attr) const;
-  /// get_text_extent plus the buffer's memoized FNV-1a hash. The first
-  /// call per buffer hashes it (O(size), counted under oms.text.hash.*)
-  /// and memoizes; every later call -- on this attribute, a journal
-  /// copy or an index key sharing the buffer -- is O(1).
-  support::Result<HashedText> get_text_extent_hashed(ObjectId id, std::string_view attr) const;
   /// Hash + size of a text attribute WITHOUT handing out the payload:
-  /// the O(1) warm-path probe (after the hash memo is populated). Same
-  /// lazy memoization as get_text_extent_hashed.
+  /// the O(1) warm-path probe (after the hash memo is populated). The
+  /// first call per buffer hashes it (O(size), counted under
+  /// oms.text.hash.*) and memoizes; every later call -- on this
+  /// attribute, a journal copy or an index key sharing the buffer -- is
+  /// O(1).
   support::Result<TextFingerprint> text_fingerprint(ObjectId id, std::string_view attr) const;
 
   // -- relationships -----------------------------------------------------
@@ -228,9 +206,9 @@ class Store {
   /// durability=wal, an empty store and no prior attach; after open()
   /// every committed transaction is encoded into the WAL.
   support::Status open(vfs::FileSystem& fs, const vfs::Path& dir);
-  /// Append any buffered (group-commit) records to the WAL now. A
-  /// failed flush keeps the records buffered for retry -- commit()
-  /// itself never fails on WAL I/O.
+  /// Append any records a failed commit-time flush left buffered to
+  /// the WAL now. A failed flush keeps the records buffered for retry
+  /// -- commit() itself never fails on WAL I/O.
   support::Status flush_wal();
   /// Write a full snapshot of the store image and truncate the WAL.
   /// Payload bytes are published as COW extents (refcount-pinned, not
@@ -405,8 +383,8 @@ class Store {
     // transaction, packaged immediately.
     if (!tx_open_.load(std::memory_order_relaxed)) wal_package();
   }
-  /// Seal the buffered tx ops into the next commit record, flush when
-  /// the group is full and auto-snapshot on the snapshot_every cadence.
+  /// Seal the buffered tx ops into the next commit record and flush
+  /// it (a failed flush keeps it buffered for the next one).
   void wal_package();
   /// Re-apply the journal preallocation (kWalPreallocateBytes in
   /// persist.cpp) after the WAL file was created, truncated or
@@ -470,13 +448,13 @@ class Store {
   std::uint32_t tx_wal_op_count_ = 0;
   // Sealed frames awaiting append -- plus, past tx_frame_base_, the
   // open frame of the in-flight transaction -- concatenated into one
-  // buffer so a group commit hands the vfs a single contiguous batch;
-  // capacity is retained across flushes.
+  // buffer so a flush hands the vfs a single contiguous batch (more
+  // than one record only after a failed flush); capacity is retained
+  // across flushes.
   std::string wal_pending_;
   std::uint64_t wal_pending_count_ = 0;  ///< sealed records inside wal_pending_
   std::uint64_t wal_expected_bytes_ = 0;  ///< durable WAL size after last success
   bool wal_tail_dirty_ = false;           ///< a failed append may have torn the tail
-  std::uint64_t commits_since_snapshot_ = 0;
   // per-store stat mirrors of the oms.wal.* / oms.snapshot.* telemetry
   std::uint64_t wal_appended_records_ = 0;
   std::uint64_t wal_appended_bytes_ = 0;

@@ -105,7 +105,7 @@ std::string encode_record(const Record& record);
 // The store captures each mutation by appending its op bytes straight
 // into a reusable per-transaction buffer (no Op variants, no per-op
 // strings), then emit_frame() wraps the accumulated ops in one framed
-// record appended to the group-commit buffer. Byte-identical to
+// record appended to the store's pending-record buffer. Byte-identical to
 // encoding the equivalent Record via encode_record(); decode stays on
 // the Op structs above.
 
@@ -134,7 +134,7 @@ void emit_frame(std::string& out, std::uint64_t seq, std::uint64_t epoch_before,
                 std::uint64_t epoch_after, std::uint32_t nops, std::string_view ops_bytes);
 
 // Zero-copy framing: the store emits a transaction's ops STRAIGHT into
-// the group-commit buffer behind a reserved header slot, so sealing a
+// the pending-record buffer behind a reserved header slot, so sealing a
 // record moves no op bytes at all. open_frame() reserves the slot and
 // returns its offset; emit_* append ops after it; finish_frame()
 // backpatches length, CRC and payload header in place. Abandoning an

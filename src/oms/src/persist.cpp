@@ -4,17 +4,16 @@
 // the vfs (docs/persistence.md). Design in brief:
 //
 //   * commit() seals the transaction's ops into one CRC-framed redo
-//     record (wal.hpp); records buffer in wal_pending_ and one vfs
-//     append flushes a full group (group commit, offloaded to the
-//     shared executor when the group size warrants a real batch);
+//     record (wal.hpp) in wal_pending_, and one vfs append flushes it
+//     at the commit;
 //   * a flush failure NEVER fails the commit -- the records stay
 //     buffered for retry, and wal_repair_tail() truncates any torn
 //     half-record a failed append left behind before the next append,
 //     so the durable file is always header + whole frames;
 //   * snapshot() serializes the full store image into a line-oriented,
 //     CRC-trailed manifest plus content-addressed payload blobs
-//     published as COW extents (write_extent_hashed: a refcount bump
-//     per blob, zero payload copies) and truncates the WAL;
+//     published as hash-seeded COW extents (write_extent: a refcount
+//     bump per blob, zero payload copies) and truncates the WAL;
 //   * open() loads the newest CRC-valid snapshot, re-executes the WAL
 //     tail through the store's own mutator paths with the epoch
 //     counter pinned to each record's bracket, and physically discards
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "jfm/oms/store.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
 #include "jfm/support/hash.hpp"
 #include "jfm/support/strings.hpp"
@@ -101,13 +99,7 @@ void Store::wal_package() {
   ++wal_pending_count_;
   static auto& records = wal_counter("records.count");
   records.add(1);
-  if (wal_pending_count_ >= std::max<std::size_t>(1, options_.wal_group_commit)) {
-    (void)wal_flush_locked();  // failure keeps the group buffered
-  }
-  ++commits_since_snapshot_;
-  if (options_.snapshot_every != 0 && commits_since_snapshot_ >= options_.snapshot_every) {
-    (void)write_snapshot_locked();  // best effort; WAL already has the records
-  }
+  (void)wal_flush_locked();  // failure keeps the records buffered for retry
 }
 
 void Store::wal_preallocate_locked() {
@@ -167,23 +159,7 @@ Status Store::wal_flush_locked() {
     }
   }
   const std::string_view batch(wal_pending_.data(), sealed);
-  Status st;
-  // A pool hop costs tens of microseconds of submit/wake latency, so
-  // only a batch big enough to dwarf that is worth dispatching: the
-  // append (the fsync analog) then runs on the shared executor while
-  // the committing thread's cache stays on store structures.
-  // TaskHandle::wait() blocks without stealing, so no foreign task can
-  // re-enter the store lock here. Small batches append inline -- with
-  // the vfs's in-place append that is cheaper than any hand-off.
-  constexpr std::size_t kOffloadBytes = 64 * 1024;
-  if (options_.wal_group_commit > 1 && batch.size() >= kOffloadBytes) {
-    auto handle = support::executor::Executor::global().submit(
-        [this, batch, &st] { st = journal_fs_->append_file(wal_path(), batch); });
-    handle.wait();
-  } else {
-    st = journal_fs_->append_file(wal_path(), batch);
-  }
-  if (!st.ok()) {
+  if (Status st = journal_fs_->append_file(wal_path(), batch); !st.ok()) {
     // The append may have torn mid-batch; remember to truncate back to
     // the durable prefix before the retry. Records stay pending.
     wal_tail_dirty_ = true;
@@ -204,7 +180,7 @@ Status Store::wal_flush_locked() {
     wal_pending_.erase(0, sealed);
     tx_frame_base_ -= sealed;
   } else {
-    wal_pending_.clear();  // keeps capacity for the next group
+    wal_pending_.clear();  // keeps capacity for the next commit
   }
   wal_pending_count_ = 0;
   return {};
@@ -256,14 +232,14 @@ Status Store::write_snapshot_locked() {
     for (const auto& [name, value] : obj.attrs) {
       if (const auto* text = std::get_if<StoredText>(&value)) {
         // Payload bytes go out as ONE content-addressed COW blob per
-        // distinct buffer: write_extent_hashed pins the extent by
+        // distinct buffer: write_extent pins the extent by
         // refcount and seeds the file's hash memo, so the snapshot
         // costs metadata, not payload copies, and a reload re-seeds
         // the attribute memo from the same recorded hash.
         const std::uint64_t hash = memoized_hash(*text);
         const vfs::Path blob = dir.child("blobs").child(hex64(hash));
         if (!journal_fs_->exists(blob)) {
-          if (auto st = journal_fs_->write_extent_hashed(blob, text->text, hash); !st.ok()) {
+          if (auto st = journal_fs_->write_extent(blob, text->text, hash); !st.ok()) {
             return fail_snapshot(st);
           }
           blob_bytes += text->text->size();
@@ -317,7 +293,6 @@ Status Store::write_snapshot_locked() {
   }
 
   snapshot_seq_ = seq;
-  commits_since_snapshot_ = 0;
   ++snapshots_written_;
   writes.add(1);
   write_bytes.add(manifest_size + blob_bytes);
@@ -484,7 +459,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
         auto extent = fs.read_extent(blob);
         if (!extent.ok()) return Status(extent.error());
         // content_hash is O(1) here when the blob was published via
-        // write_extent_hashed (the memo rode along); it still verifies
+        // write_extent (the memo rode along); it still verifies
         // the blob is the one the manifest recorded.
         auto actual = fs.content_hash(blob);
         if (!actual.ok()) return Status(actual.error());

@@ -564,26 +564,6 @@ Result<TextExtent> Store::get_text_extent(ObjectId id, std::string_view attr) co
   return ext->text;
 }
 
-Result<HashedText> Store::get_text_extent_hashed(ObjectId id, std::string_view attr) const {
-  std::shared_lock lock(mu_);
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    return Result<HashedText>::failure(Errc::not_found, "no such object");
-  }
-  auto ait = it->second.attrs.find(attr);
-  if (ait == it->second.attrs.end()) {
-    return Result<HashedText>::failure(Errc::not_found,
-                                       "attribute " + std::string(attr) + " unset");
-  }
-  const auto* ext = std::get_if<StoredText>(&ait->second);
-  if (ext == nullptr) {
-    return Result<HashedText>::failure(Errc::invalid_argument,
-                                       "attribute " + std::string(attr) +
-                                           " has a different type");
-  }
-  return HashedText{ext->text, memoized_hash(*ext)};
-}
-
 Result<TextFingerprint> Store::text_fingerprint(ObjectId id, std::string_view attr) const {
   std::shared_lock lock(mu_);
   auto it = objects_.find(id);

@@ -17,6 +17,10 @@
 //     blocked caller executes queued tasks itself instead of sleeping,
 //     so a saturated pool can never deadlock a caller that is owed
 //     work (the caller alone can drain everything it submitted);
+//   * SPAN CONTEXT rides with each task: submit() captures the
+//     submitter's telemetry::current_span_id() and the task runs with
+//     it installed, so spans opened on a pool thread nest under the
+//     span that submitted the work, with no stitching by the caller;
 //   * TELEMETRY lanes: executor.task.submitted.count /
 //     executor.task.completed.count / executor.steal.count counters, an
 //     executor.queue.depth gauge and an executor.workers gauge, all in
@@ -29,8 +33,8 @@
 // max(hardware_concurrency, 8) so benches keep 8 genuine lanes even on
 // small CI hosts. Callers that need an ablation-stable lane count
 // (TransferEngine's `workers` knob) pass their own lane count to
-// run_lanes(); the pool size only caps real parallelism, never the
-// number of logical lanes.
+// parallel_for(), the one fan-out; the pool size only caps real
+// parallelism, never the number of logical lanes.
 //
 // Determinism contract: the executor distributes INDICES, not results.
 // Callers that must be bit-identical across worker counts (checkout,
@@ -50,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "jfm/support/result.hpp"
 #include "jfm/support/telemetry.hpp"
 
 namespace jfm::support::executor {
@@ -62,6 +67,7 @@ struct TaskState {
   std::condition_variable cv;
   bool done = false;
   std::function<void()> fn;
+  std::uint64_t span = 0;  ///< the submitter's span context, installed while fn runs
 };
 
 /// Future-like handle to one submitted task. Copyable; all copies refer
@@ -115,18 +121,18 @@ class Executor {
   /// saturated the pool makes progress by running them itself.
   void help_until(const TaskHandle& h);
 
-  /// Run `body` on `lanes` logical lanes: lanes-1 submitted to the
-  /// pool, one executed on the calling thread, then help_until() each
-  /// handle. lanes <= 1 runs body inline with no pool interaction --
-  /// the determinism anchor for workers=1 ablations.
-  void run_lanes(std::size_t lanes, const std::function<void()>& body);
-
-  /// Self-scheduling loop over [0, n): up to `parallelism` lanes pull
-  /// indices from a shared atomic cursor. Item order across lanes is
-  /// nondeterministic; callers needing deterministic placement write
-  /// into per-index slots.
-  void parallel_for(std::size_t n, std::size_t parallelism,
-                    const std::function<void(std::size_t)>& fn);
+  /// Self-scheduling loop over [0, n): min(parallelism, n) lanes pull
+  /// indices in ascending order from a shared cursor -- one lane on the
+  /// calling thread, the rest submitted to the pool and joined with
+  /// help_until(). A single lane runs inline, in index order, with no
+  /// pool interaction: the determinism anchor for workers=1 ablations.
+  /// Once some index fails, no lane pulls a new one (indices already
+  /// pulled still finish), so one lane stops exactly at its first
+  /// failure. Returns the lowest-index failure, or ok. Item order
+  /// across lanes is nondeterministic; callers needing deterministic
+  /// placement write into per-index slots.
+  Status parallel_for(std::size_t n, std::size_t parallelism,
+                      const std::function<Status(std::size_t)>& fn);
 
  private:
   struct Lane {

@@ -16,9 +16,9 @@
 //     subsystem tags and wall-clock durations, recorded into a bounded
 //     in-memory ring buffer when tracing is enabled. Disabled tracing
 //     costs one relaxed atomic load per span site. Parent links follow
-//     the call stack through a thread-local, and can be set explicitly
-//     to stitch worker-pool spans (TransferEngine::export_batch) under
-//     their initiating span.
+//     the call stack through a thread-local; the executor carries it
+//     into each task it runs, so spans opened on pool threads nest
+//     under the span that submitted the work.
 //
 // Naming convention for metrics: subsystem.operation.unit, e.g.
 // "coupling.transfer.export.count", "vfs.file.copy.bytes",
@@ -201,27 +201,20 @@ class Tracer {
 };
 
 /// RAII span. Construction opens the span (parent = the calling
-/// thread's innermost open span unless overridden); destruction records
+/// thread's innermost open span); destruction records
 /// it into the global tracer. When tracing is disabled, both ends are
 /// a single relaxed atomic load.
 class ScopedSpan {
  public:
   ScopedSpan(std::string_view subsystem, std::string_view name);
-  /// Explicit parent: used to stitch spans produced on worker-pool
-  /// threads under the span that initiated the batch.
-  ScopedSpan(std::string_view subsystem, std::string_view name, std::uint64_t parent_id);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// This span's id (0 when tracing is off) -- hand it to worker
-  /// threads for the explicit-parent constructor.
+  /// This span's id (0 when tracing is off).
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  void open(std::string_view subsystem, std::string_view name, std::uint64_t parent,
-            bool explicit_parent);
-
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t start_us_ = 0;
@@ -234,6 +227,10 @@ class ScopedSpan {
 
 /// The innermost open span id on this thread (0 = none).
 std::uint64_t current_span_id() noexcept;
+/// Make `id` this thread's innermost open span and return the previous
+/// one. The executor uses it to run a task in its submitter's span
+/// context and to restore the worker's own context afterwards.
+std::uint64_t exchange_current_span_id(std::uint64_t id) noexcept;
 
 #define JFM_TELEMETRY_CONCAT2_(a, b) a##b
 #define JFM_TELEMETRY_CONCAT_(a, b) JFM_TELEMETRY_CONCAT2_(a, b)

@@ -84,6 +84,7 @@ TaskHandle Executor::submit(std::function<void()> fn) {
   ensure_started();
   auto state = std::make_shared<TaskState>();
   state->fn = std::move(fn);
+  state->span = telemetry::current_span_id();
   const std::size_t lane =
       tl_exec == this ? tl_lane
                       : rr_.fetch_add(1, std::memory_order_relaxed) % lanes_.size();
@@ -134,7 +135,13 @@ void Executor::run_task(TaskState& task) {
     fn = std::move(task.fn);
     task.fn = nullptr;
   }
-  if (fn) fn();
+  if (fn) {
+    // Run in the submitter's span context, then restore this thread's
+    // own (a helping caller may be inside spans of its own).
+    const std::uint64_t own = telemetry::exchange_current_span_id(task.span);
+    fn();
+    telemetry::exchange_current_span_id(own);
+  }
   {
     std::lock_guard<std::mutex> g(task.mu);
     task.done = true;
@@ -177,31 +184,37 @@ void Executor::help_until(const TaskHandle& h) {
   }
 }
 
-void Executor::run_lanes(std::size_t lanes, const std::function<void()>& body) {
-  if (lanes <= 1) {
-    body();
-    return;
-  }
+Status Executor::parallel_for(std::size_t n, std::size_t parallelism,
+                              const std::function<Status(std::size_t)>& fn) {
+  if (n == 0) return {};
+  const std::size_t lanes = std::min(std::max<std::size_t>(parallelism, 1), n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex err_mu;
+  std::size_t err_index = n;
+  Status first_error;
+  auto lane = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      if (Status st = fn(i); !st.ok()) {
+        failed.store(true, std::memory_order_relaxed);
+        // Keep the lowest-index failure so the reported error does not
+        // depend on lane interleaving.
+        std::lock_guard<std::mutex> g(err_mu);
+        if (i < err_index) {
+          err_index = i;
+          first_error = std::move(st);
+        }
+      }
+    }
+  };
   std::vector<TaskHandle> handles;
   handles.reserve(lanes - 1);
-  for (std::size_t i = 0; i + 1 < lanes; ++i) {
-    handles.push_back(submit([&body] { body(); }));
-  }
-  body();  // the calling thread is always one of the lanes
+  for (std::size_t i = 1; i < lanes; ++i) handles.push_back(submit(lane));
+  lane();  // the calling thread is always one of the lanes
   for (const auto& h : handles) help_until(h);
-}
-
-void Executor::parallel_for(std::size_t n, std::size_t parallelism,
-                            const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t lanes = std::min(parallelism == 0 ? 1 : parallelism, n);
-  std::atomic<std::size_t> next{0};
-  run_lanes(lanes, [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  });
+  return first_error;
 }
 
 }  // namespace jfm::support::executor

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace jfm::support::telemetry {
 
@@ -356,22 +357,16 @@ std::string Tracer::to_tree(const std::vector<SpanRecord>& spans) {
 
 std::uint64_t current_span_id() noexcept { return t_current_span; }
 
+std::uint64_t exchange_current_span_id(std::uint64_t id) noexcept {
+  return std::exchange(t_current_span, id);
+}
+
 ScopedSpan::ScopedSpan(std::string_view subsystem, std::string_view name) {
-  open(subsystem, name, t_current_span, /*explicit_parent=*/false);
-}
-
-ScopedSpan::ScopedSpan(std::string_view subsystem, std::string_view name,
-                       std::uint64_t parent_id) {
-  open(subsystem, name, parent_id, /*explicit_parent=*/true);
-}
-
-void ScopedSpan::open(std::string_view subsystem, std::string_view name,
-                      std::uint64_t parent, bool explicit_parent) {
   Tracer& tracer = Tracer::global();
   if (!tracer.enabled()) return;  // one relaxed load: the disabled fast path
   active_ = true;
   id_ = tracer.next_id();
-  parent_ = explicit_parent ? parent : t_current_span;
+  parent_ = t_current_span;
   epoch_ = tracer.epoch();
   start_us_ = tracer.now_us();
   subsystem_ = subsystem;

@@ -182,17 +182,14 @@ class FileSystem {
   /// Publish an extent at `path` (create/overwrite). With cow_extents
   /// the file shares the caller's buffer -- O(1), no duplication; the
   /// ablation clones it into a private buffer instead. Counts as a
-  /// logical write either way.
-  support::Status write_extent(const Path& path, Extent data);
-
-  /// write_extent plus a hash the caller already knows for exactly
-  /// these bytes: the destination's content-hash memo is seeded instead
-  /// of invalidated, so a post-publish content_hash (the transfer
-  /// cache's verify probe) is O(1) with zero bytes hashed. The caller
-  /// vouches that `hash == fnv1a(*data)`; in the cow_extents=false
-  /// ablation the private clone holds identical bytes, so the memo
-  /// stays truthful there too.
-  support::Status write_extent_hashed(const Path& path, Extent data, std::uint64_t hash);
+  /// logical write either way. A `hash` the caller already knows for
+  /// exactly these bytes seeds the destination's content-hash memo
+  /// instead of invalidating it, so a post-publish content_hash (the
+  /// transfer cache's verify probe) is O(1) with zero bytes hashed. The
+  /// caller vouches that `*hash == fnv1a(*data)`; the ablation's clone
+  /// holds identical bytes, so the memo stays truthful there too.
+  support::Status write_extent(const Path& path, Extent data,
+                               std::optional<std::uint64_t> hash = {});
 
   // -- shared ------------------------------------------------------------
   bool exists(const Path& path) const;

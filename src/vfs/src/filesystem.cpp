@@ -241,41 +241,22 @@ Status FileSystem::write_file(const Path& path, std::string data) {
                         /*physical=*/true);
 }
 
-Status FileSystem::write_extent(const Path& path, Extent data) {
+Status FileSystem::write_extent(const Path& path, Extent data,
+                                std::optional<std::uint64_t> hash) {
   if (data == nullptr) {
     return support::fail(Errc::invalid_argument, "write_extent: null extent");
   }
   if (auto f = support::faultsim::trip("vfs.write"); !f.ok()) return f;
   if (!options_.cow_extents) {
     // Ablation: every publish materializes a private duplicate, exactly
-    // like the string-payload file system the paper measures.
-    return publish_extent(path, make_extent(std::string(*data)), std::nullopt,
-                          /*physical=*/true);
+    // like the string-payload file system the paper measures. The clone
+    // holds bit-identical bytes, so a caller's hash still describes the
+    // destination and the memo survives the ablation.
+    return publish_extent(path, make_extent(std::string(*data)), hash, /*physical=*/true);
   }
   if (data.use_count() > 1) {
     // The buffer is co-owned (by the caller, the OMS store, another
     // file, ...): this publish is a logical write served by sharing.
-    cow_.shared_copies.fetch_add(1, kRelaxed);
-    cow_.bytes_saved.fetch_add(data->size(), kRelaxed);
-    cow_shared_counter().add(1);
-    cow_saved_bytes_counter().add(data->size());
-  }
-  return publish_extent(path, std::move(data), std::nullopt, /*physical=*/false);
-}
-
-Status FileSystem::write_extent_hashed(const Path& path, Extent data, std::uint64_t hash) {
-  if (data == nullptr) {
-    return support::fail(Errc::invalid_argument, "write_extent_hashed: null extent");
-  }
-  if (auto f = support::faultsim::trip("vfs.write"); !f.ok()) return f;
-  if (!options_.cow_extents) {
-    // The clone holds bit-identical bytes, so the caller's hash still
-    // describes the destination exactly -- the memo survives the
-    // ablation.
-    return publish_extent(path, make_extent(std::string(*data)), hash,
-                          /*physical=*/true);
-  }
-  if (data.use_count() > 1) {
     cow_.shared_copies.fetch_add(1, kRelaxed);
     cow_.bytes_saved.fetch_add(data->size(), kRelaxed);
     cow_shared_counter().add(1);

@@ -321,7 +321,7 @@ TEST_F(DesktopTest, StatsExecutorSummarizesThePool) {
   // Drive real work through the pool and require the task counters to
   // be visible (and balanced) in the digest afterwards.
   auto& exec = support::executor::Executor::global();
-  exec.parallel_for(64, 4, [](std::size_t) {});
+  (void)exec.parallel_for(64, 4, [](std::size_t) -> support::Status { return {}; });
   DesktopResult after;
   ASSERT_TRUE(shell->execute_line("stats executor", after).ok());
   bool saw_started = false;

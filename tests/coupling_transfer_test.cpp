@@ -11,6 +11,13 @@ namespace {
 
 using support::Errc;
 
+/// Default options with staging through the transfer directory on or off.
+TransferOptions staging(bool copy_through_filesystem) {
+  TransferOptions options;
+  options.copy_through_filesystem = copy_through_filesystem;
+  return options;
+}
+
 class TransferTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,7 +50,7 @@ class TransferTest : public ::testing::Test {
 };
 
 TEST_F(TransferTest, ExportMaterializesDovContent) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), staging(true));
   auto dov = *jcf.create_dov(dobj, std::string(256, 'd'), user);
   auto dst = vfs::Path().child("out").child("data");
   ASSERT_TRUE(engine.export_dov(dov, user, dst).ok());
@@ -54,7 +61,7 @@ TEST_F(TransferTest, ExportMaterializesDovContent) {
 }
 
 TEST_F(TransferTest, ImportCreatesNewDov) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), staging(true));
   auto src = vfs::Path().child("out").child("src");
   ASSERT_TRUE(fs.write_file(src, "tool output").ok());
   auto dov = engine.import_file(src, dobj, user);
@@ -70,12 +77,12 @@ TEST_F(TransferTest, StagingDoublesFileSystemTraffic) {
   auto dov = *jcf.create_dov(dobj, payload, user);
 
   // copy-through mode: payload crosses the fs twice on export
-  TransferEngine staged(&jcf, &fs, vfs::Path().child("xfer1"), true);
+  TransferEngine staged(&jcf, &fs, vfs::Path().child("xfer1"), staging(true));
   fs.reset_counters();
   ASSERT_TRUE(staged.export_dov(dov, user, vfs::Path().child("out").child("a")).ok());
   const auto with_staging = fs.counters().bytes_written;
 
-  TransferEngine direct(&jcf, &fs, vfs::Path().child("xfer2"), false);
+  TransferEngine direct(&jcf, &fs, vfs::Path().child("xfer2"), staging(false));
   fs.reset_counters();
   ASSERT_TRUE(direct.export_dov(dov, user, vfs::Path().child("out").child("b")).ok());
   const auto without_staging = fs.counters().bytes_written;
@@ -88,7 +95,7 @@ TEST_F(TransferTest, StagingDoublesFileSystemTraffic) {
 TEST_F(TransferTest, WorkspaceRulesApplyToTransfers) {
   auto dov = *jcf.create_dov(dobj, "private", user);
   auto stranger = *jcf.create_user("eve");
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), staging(true));
   // unpublished data cannot be exported by another user
   auto st = engine.export_dov(dov, stranger, vfs::Path().child("out").child("x"));
   ASSERT_FALSE(st.ok());
@@ -102,7 +109,7 @@ TEST_F(TransferTest, WorkspaceRulesApplyToTransfers) {
 }
 
 TEST_F(TransferTest, MissingSourceFileReported) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), staging(true));
   auto missing = engine.import_file(vfs::Path().child("out").child("ghost"), dobj, user);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code, Errc::not_found);
@@ -257,7 +264,7 @@ TEST_F(TransferTest, StatsAgreeAcrossCopyThroughDirectAndCachedModes) {
 
 TEST_F(TransferTest, StagingFilesRemovedAfterSuccessAndFailure) {
   const auto xfer = vfs::Path().child("xfer");
-  TransferEngine engine(&jcf, &fs, xfer, true);
+  TransferEngine engine(&jcf, &fs, xfer, staging(true));
   auto dov = *jcf.create_dov(dobj, "payload", user);
 
   // success paths
@@ -315,7 +322,7 @@ TEST_F(TransferTest, ExportBatchDeliversPerItemResults) {
 }
 
 TEST_F(TransferTest, RoundTripPreservesBytes) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), staging(true));
   std::string payload;
   for (int i = 0; i < 1000; ++i) payload.push_back(static_cast<char>('a' + i % 26));
   auto d1 = *jcf.create_dov(dobj, payload, user);

@@ -1,6 +1,6 @@
 // The persistent work-stealing executor (docs/executor.md): lazy
-// start, task handles, helping joins, run_lanes / parallel_for
-// coverage, telemetry accounting, and an 8-thread steal storm for the
+// start, task handles, helping joins, parallel_for coverage (lanes,
+// stop after a failure, lowest-index error), telemetry accounting, and an 8-thread steal storm for the
 // TSan lane. Fresh Executor instances throughout -- the global() pool
 // is shared process-wide and other suites may have warmed it.
 
@@ -87,27 +87,63 @@ TEST(ExecutorTest, HelpUntilDrainsOwnSubmissionsOnASaturatedPool) {
   EXPECT_TRUE(gate.done());
 }
 
-TEST(ExecutorTest, RunLanesInlineWhenSingleLane) {
+TEST(ExecutorTest, ParallelForInlineInIndexOrderWhenSingleLane) {
   Executor exec(4);
-  int calls = 0;
-  exec.run_lanes(1, [&]() { ++calls; });
-  EXPECT_EQ(calls, 1);
-  EXPECT_FALSE(exec.started());  // lanes<=1 never touches the pool
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(exec.parallel_for(5, 1, [&](std::size_t i) -> Status {
+                    order.push_back(i);
+                    return {};
+                  }).ok());
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_FALSE(exec.started());  // one lane never touches the pool
 }
 
-TEST(ExecutorTest, RunLanesRunsBodyOncePerLane) {
+TEST(ExecutorTest, ParallelForSubmitsOneTaskPerExtraLane) {
   Executor exec(4);
-  std::atomic<int> calls{0};
+  const std::uint64_t before = counter_value("executor.task.submitted.count");
   std::set<std::thread::id> tids;
   std::mutex mu;
-  exec.run_lanes(6, [&]() {
-    calls.fetch_add(1);
-    std::lock_guard<std::mutex> lock(mu);
-    tids.insert(std::this_thread::get_id());
-  });
-  EXPECT_EQ(calls.load(), 6);
+  ASSERT_TRUE(exec.parallel_for(64, 6, [&](std::size_t) -> Status {
+                    std::lock_guard<std::mutex> lock(mu);
+                    tids.insert(std::this_thread::get_id());
+                    return {};
+                  }).ok());
+  EXPECT_EQ(counter_value("executor.task.submitted.count") - before, 5u);
   // the calling thread ran one of the lanes itself
   EXPECT_TRUE(tids.count(std::this_thread::get_id()) == 1);
+}
+
+TEST(ExecutorTest, SingleLaneStopsAtTheFirstFailure) {
+  Executor exec(4);
+  std::vector<std::size_t> ran;
+  auto st = exec.parallel_for(10, 1, [&](std::size_t i) -> Status {
+    ran.push_back(i);
+    if (i == 3 || i == 6) return fail(Errc::io_error, "item " + std::to_string(i));
+    return {};
+  });
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().message, "item 3");
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ExecutorTest, LanesStopPullingAfterAFailureAndReportTheLowestIndex) {
+  Executor exec(4);
+  constexpr std::size_t kN = 4000;
+  std::atomic<std::size_t> ran{0};
+  std::vector<std::atomic<int>> hits(kN);
+  for (auto& h : hits) h.store(0);
+  auto st = exec.parallel_for(kN, 4, [&](std::size_t i) -> Status {
+    ran.fetch_add(1);
+    hits[i].fetch_add(1);
+    if (i == 7 || i == 9) return fail(Errc::io_error, "item " + std::to_string(i));
+    return {};
+  });
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().message, "item 7");
+  // Every index below the failure ran exactly once; once index 7
+  // failed, each lane pulls at most the one index it was already on.
+  for (std::size_t i = 0; i <= 7; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_LT(ran.load(), kN);
 }
 
 TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -115,7 +151,10 @@ TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  exec.parallel_for(kN, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
+  ASSERT_TRUE(exec.parallel_for(kN, 8, [&](std::size_t i) -> Status {
+                    hits[i].fetch_add(1);
+                    return {};
+                  }).ok());
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -124,12 +163,16 @@ TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ExecutorTest, ParallelForZeroAndOneItemEdgeCases) {
   Executor exec(2);
   int calls = 0;
-  exec.parallel_for(0, 8, [&](std::size_t) { ++calls; });
+  EXPECT_TRUE(exec.parallel_for(0, 8, [&](std::size_t) -> Status {
+                    ++calls;
+                    return {};
+                  }).ok());
   EXPECT_EQ(calls, 0);
-  exec.parallel_for(1, 8, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
+  EXPECT_TRUE(exec.parallel_for(1, 8, [&](std::size_t i) -> Status {
+                    EXPECT_EQ(i, 0u);
+                    ++calls;
+                    return {};
+                  }).ok());
   EXPECT_EQ(calls, 1);
 }
 
@@ -189,8 +232,9 @@ TEST(ExecutorTest, StealStormIsRaceFreeAndLosesNothing) {
           h.wait();
         }
       }
-      exec.parallel_for(8, 4, [&](std::size_t i) {
+      (void)exec.parallel_for(8, 4, [&](std::size_t i) -> Status {
         sum.fetch_add(i, std::memory_order_relaxed);
+        return {};
       });
     }
   };

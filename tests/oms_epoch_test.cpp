@@ -147,7 +147,7 @@ TEST_F(EpochTest, FeedReadersRaceCommitBurstsCleanly) {
   constexpr std::size_t kLanes = 8;
   constexpr int kRounds = 64;
   std::atomic<std::uint64_t> seen{0};
-  exec.parallel_for(kLanes, kLanes, [&](std::size_t lane) {
+  (void)exec.parallel_for(kLanes, kLanes, [&](std::size_t lane) -> support::Status {
     if (lane < kLanes / 2) {
       for (int i = 0; i < kRounds; ++i) {
         auto id = store.create("Node");
@@ -165,6 +165,7 @@ TEST_F(EpochTest, FeedReadersRaceCommitBurstsCleanly) {
         cursor = now;
       }
     }
+    return {};
   });
   EXPECT_GT(seen.load(), 0u);
   EXPECT_EQ(store.objects_changed_since("Node", store.epoch()).size(), 0u);

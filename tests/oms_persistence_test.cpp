@@ -48,11 +48,9 @@ Schema persist_schema() {
   return schema;
 }
 
-StoreOptions durable(std::size_t group = 1, std::uint64_t snapshot_every = 0) {
+StoreOptions durable() {
   StoreOptions opts;
   opts.durability = StoreOptions::Durability::wal;
-  opts.wal_group_commit = group;
-  opts.snapshot_every = snapshot_every;
   return opts;
 }
 
@@ -318,44 +316,6 @@ TEST_F(PersistenceTest, TornAppendIsRepairedBeforeTheNextFlush) {
   ASSERT_TRUE(recovered.open(fs, journal_dir()).ok());
   EXPECT_EQ(digest(recovered), before);
   EXPECT_EQ(recovered.wal_stats().discarded_bytes, 0u);
-}
-
-TEST_F(PersistenceTest, GroupCommitBuffersUntilFlush) {
-  Store store(persist_schema(), &clock, durable(/*group=*/8));
-  ASSERT_TRUE(store.open(fs, journal_dir()).ok());
-  auto a = *store.create("Node");
-  EXPECT_TRUE(store.set(a, "weight", AttrValue(std::int64_t{1})).ok());
-  EXPECT_EQ(store.wal_stats().pending_records, 2u);
-  EXPECT_EQ(store.wal_stats().flushes, 0u);
-
-  // Committed-prefix crash semantics: a crash now loses the buffered
-  // suffix -- the journal on disk is still just the header.
-  {
-    Store crashed(persist_schema(), &clock, durable());
-    ASSERT_TRUE(crashed.open(fs, journal_dir()).ok());
-    EXPECT_EQ(crashed.object_count(), 0u);
-  }
-
-  ASSERT_TRUE(store.flush_wal().ok());
-  EXPECT_EQ(store.wal_stats().pending_records, 0u);
-  const std::string before = digest(store);
-  Store recovered(persist_schema(), &clock, durable());
-  ASSERT_TRUE(recovered.open(fs, journal_dir()).ok());
-  EXPECT_EQ(digest(recovered), before);
-}
-
-TEST_F(PersistenceTest, AutoSnapshotCadenceTruncatesTheLog) {
-  Store store(persist_schema(), &clock, durable(/*group=*/1, /*snapshot_every=*/2));
-  ASSERT_TRUE(store.open(fs, journal_dir()).ok());
-  auto ids = populate(store);
-  EXPECT_TRUE(store.set(ids[0], "flag", AttrValue(false)).ok());
-  EXPECT_GE(store.wal_stats().snapshots_written, 2u);
-  const std::string before = digest(store);
-
-  Store recovered(persist_schema(), &clock, durable());
-  ASSERT_TRUE(recovered.open(fs, journal_dir()).ok());
-  EXPECT_EQ(digest(recovered), before);
-  EXPECT_EQ(recovered.wal_stats().snapshots_loaded, 1u);
 }
 
 TEST_F(PersistenceTest, HalfWrittenSnapshotFallsBackToOlderState) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "jfm/support/executor.hpp"
 #include "jfm/support/telemetry.hpp"
 
 namespace jfm::support::telemetry {
@@ -231,27 +234,88 @@ TEST(TracerTest, NestedSpansLinkToTheirParent) {
   tracer.disable();
 }
 
-TEST(TracerTest, ExplicitParentStitchesWorkerThreads) {
+TEST(TracerTest, PoolTasksNestUnderTheSubmittersSpan) {
   auto& tracer = Tracer::global();
+  executor::Executor exec(2);
   tracer.enable();
   std::uint64_t batch_id = 0;
-  std::uint64_t worker_id = 0;
+  std::atomic<int> open_lanes{0};
+  std::mutex mu;
+  std::map<std::uint64_t, std::thread::id> thread_of;  // lane span id -> thread
   {
     ScopedSpan batch("coupling", "batch");
     batch_id = batch.id();
-    std::thread worker([&]() {
-      // A fresh thread has no implicit parent; without the explicit id
-      // this span would be an orphan root.
-      ScopedSpan lane("coupling", "worker", batch_id);
-      worker_id = lane.id();
+    auto st = exec.parallel_for(2, 2, [&](std::size_t) -> Status {
+      ScopedSpan lane("coupling", "lane");
+      // Both lanes must be open at once, so one of them runs on a pool
+      // thread: the caller cannot hold two indices itself.
+      open_lanes.fetch_add(1);
+      while (open_lanes.load() < 2) std::this_thread::yield();
+      std::lock_guard<std::mutex> lock(mu);
+      thread_of[lane.id()] = std::this_thread::get_id();
+      return {};
     });
-    worker.join();
+    ASSERT_TRUE(st.ok());
   }
-  auto spans = tracer.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].id, worker_id);
-  EXPECT_EQ(spans[0].parent, batch_id);
+  // A task submitted outside any span runs with no context: the pool
+  // thread's earlier inherited context did not leak past its task.
+  std::uint64_t later_context = 1;
+  auto later = exec.submit([&] { later_context = current_span_id(); });
+  later.wait();
+  EXPECT_EQ(later_context, 0u);
   tracer.disable();
+  auto spans = tracer.snapshot();
+  std::size_t lanes = 0;
+  bool on_pool_thread = false;
+  for (const auto& span : spans) {
+    if (span.name != "lane") continue;
+    ++lanes;
+    EXPECT_EQ(span.parent, batch_id);
+    if (thread_of.at(span.id) != std::this_thread::get_id()) on_pool_thread = true;
+  }
+  EXPECT_EQ(lanes, 2u);
+  EXPECT_TRUE(on_pool_thread);
+}
+
+TEST(TracerTest, HelpingCallerKeepsItsOwnSpanContext) {
+  auto& tracer = Tracer::global();
+  executor::Executor exec(1);
+  // Occupy the only worker, so the caller runs the next task itself.
+  std::atomic<bool> gate_running{false};
+  std::atomic<bool> release{false};
+  auto gate = exec.submit([&] {
+    gate_running.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!gate_running.load()) std::this_thread::yield();
+  tracer.enable();
+  std::uint64_t submitter_id = 0;
+  std::uint64_t helper_id = 0;
+  std::uint64_t task_parent = 0;
+  executor::TaskHandle task;
+  {
+    ScopedSpan submitter("coupling", "submitter");
+    submitter_id = submitter.id();
+    task = exec.submit([&] { task_parent = current_span_id(); });
+  }
+  {
+    ScopedSpan helper("coupling", "helper");
+    helper_id = helper.id();
+    exec.help_until(task);  // runs on this thread: the worker is busy
+    ScopedSpan after("coupling", "after");
+  }
+  release.store(true);
+  gate.wait();
+  tracer.disable();
+  EXPECT_EQ(task_parent, submitter_id);
+  auto spans = tracer.snapshot();
+  bool found = false;
+  for (const auto& span : spans) {
+    if (span.name != "after") continue;
+    found = true;
+    EXPECT_EQ(span.parent, helper_id);  // not the submitter's span
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(TracerTest, RingBufferWrapsAndCountsDrops) {

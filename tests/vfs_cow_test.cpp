@@ -318,14 +318,14 @@ TEST_F(CowTest, ConcurrentCopyWriteStormOnSharedExtents) {
   EXPECT_LE(cow.physical_bytes, cow.logical_bytes);
 }
 
-// write_extent_hashed seeds the node's hash memo at publish time, and
+// write_extent with a known hash seeds the node's hash memo at publish time, and
 // copy_file carries the memo to the destination: no content_hash after
 // either may ever touch payload bytes.
-TEST_F(CowTest, WriteExtentHashedSeedsTheMemoAndCopyPropagatesIt) {
+TEST_F(CowTest, WriteExtentWithAHashSeedsTheMemoAndCopyPropagatesIt) {
   FileSystem fs(&clock);
   auto ext = std::make_shared<const std::string>(blob(1024, 'm'));
   const std::uint64_t h = fnv1a(*ext);
-  ASSERT_TRUE(fs.write_extent_hashed(p("/m"), ext, h).ok());
+  ASSERT_TRUE(fs.write_extent(p("/m"), ext, h).ok());
   const auto before = fs.counters();
   auto got = fs.content_hash(p("/m"));
   ASSERT_TRUE(got.ok());
@@ -339,7 +339,7 @@ TEST_F(CowTest, WriteExtentHashedSeedsTheMemoAndCopyPropagatesIt) {
   // Overwriting through the hashed path re-seeds; a plain write drops
   // the memo and the next hash recomputes.
   auto ext2 = std::make_shared<const std::string>(blob(512, 'n'));
-  ASSERT_TRUE(fs.write_extent_hashed(p("/m"), ext2, fnv1a(*ext2)).ok());
+  ASSERT_TRUE(fs.write_extent(p("/m"), ext2, fnv1a(*ext2)).ok());
   EXPECT_EQ(*fs.content_hash(p("/m")), fnv1a(*ext2));
   EXPECT_EQ(fs.counters().hash_bytes, before.hash_bytes);
   ASSERT_TRUE(fs.write_file(p("/m"), blob(512, 'n')).ok());
@@ -349,10 +349,10 @@ TEST_F(CowTest, WriteExtentHashedSeedsTheMemoAndCopyPropagatesIt) {
 
 // The ablation must accept the hashed write too: it clones the buffer,
 // but a clone has identical bytes, so the memo stays truthful.
-TEST_F(CowTest, WriteExtentHashedSeedsTheMemoUnderTheAblation) {
+TEST_F(CowTest, WriteExtentWithAHashSeedsTheMemoUnderTheAblation) {
   FileSystem fs(&clock, FsOptions{.cow_extents = false});
   auto ext = std::make_shared<const std::string>(blob(256, 'q'));
-  ASSERT_TRUE(fs.write_extent_hashed(p("/q"), ext, fnv1a(*ext)).ok());
+  ASSERT_TRUE(fs.write_extent(p("/q"), ext, fnv1a(*ext)).ok());
   const auto before = fs.counters();
   EXPECT_EQ(*fs.content_hash(p("/q")), fnv1a(*ext));
   EXPECT_EQ(fs.counters().hash_bytes, before.hash_bytes);
